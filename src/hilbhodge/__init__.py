@@ -39,7 +39,6 @@ from .engine import (
 )
 from .partitions import (
     PartitionMultiplicity,
-    bounded_compositions,
     nested_index_set,
     partitions,
 )

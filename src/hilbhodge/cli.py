@@ -12,13 +12,16 @@ Subcommands::
     verify  self-validation: every two-path identity on the given data
 
 Exit codes: 0 success, 1 parse/validation errors, 2 insufficient twisted
-powers in the table, 3 a verify check failed.
+powers in the table, 3 a verify check failed, 141 the reader closed stdout
+before the output ended (128 + SIGPIPE, as a shell reports for a process
+that a closed pipe stopped); nothing is printed to stderr then.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable
 
@@ -288,13 +291,16 @@ def _omega_trivial_applicable(ds: SurfaceDataset) -> bool:
 
 def _verify_checks(ds: SurfaceDataset, N: int):
     table = ds.table
+    # one product-route series feeds product-vs-partition and hochschild
+    series = engine.hilb_series(table, N)
+    layers = [
+        HodgePolynomial.from_bipolynomial(series.coefficient_of_t(n), 2 * n)
+        for n in range(N + 1)
+    ]
 
     def product_vs_partition() -> None:
-        series = engine.hilb_series(table, N)
-        for n in range(N + 1):
-            got = HodgePolynomial.from_bipolynomial(series.coefficient_of_t(n), 2 * n)
-            want = engine.hilb_via_partitions(table, n)
-            if got != want:
+        for n, got in enumerate(layers):
+            if got != engine.hilb_via_partitions(table, n):
                 raise _CheckFailed(f"paths disagree at n={n}")
 
     def chi_y_three_way() -> None:
@@ -316,8 +322,8 @@ def _verify_checks(ds: SurfaceDataset, N: int):
 
     def hochschild_two_path() -> None:
         rhs = engine.hh_rhs_series(table, N)
-        for n in range(N + 1):
-            if engine.hh_dims(table, n) != engine.hh_from_rhs(rhs, n):
+        for n, poly in enumerate(layers):
+            if poly.collapse_hodge_degree() != engine.hh_from_rhs(rhs, n):
                 raise _CheckFailed(f"paths disagree at n={n}")
 
     def nested_two_path() -> None:
@@ -402,6 +408,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of the orders and powers: a nonnegative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # reserve exit code 2 for InsufficientPowers; argument errors are exit 1
     def error(self, message: str):
@@ -425,27 +442,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilb", help="twisted Hodge numbers of Hilb^n S")
     _add_dataset_args(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("-n", type=int, help="single Hilbert scheme index")
-    group.add_argument("-N", type=int, help="series truncation order")
+    group.add_argument("-n", type=_nonnegative_int, help="single Hilbert scheme index")
+    group.add_argument("-N", type=_nonnegative_int, help="series truncation order")
     p.add_argument("--format", choices=formats)
     p.set_defaults(func=_cmd_hilb)
 
     p = sub.add_parser("sym", help="symmetric-power table Sym^a of a diamond")
     _add_dataset_args(p)
-    p.add_argument("-a", type=int, required=True, help="symmetric power")
-    p.add_argument("-k", type=int, default=1, help="bundle power (default 1)")
+    p.add_argument("-a", type=_nonnegative_int, required=True, help="symmetric power")
+    p.add_argument(
+        "-k", type=_nonnegative_int, default=1, help="bundle power (default 1)"
+    )
     p.add_argument("--format", choices=formats)
     p.set_defaults(func=_cmd_sym)
 
     p = sub.add_parser("nested", help="twisted Hodge numbers of Hilb^{n,n+1} S")
     _add_dataset_args(p)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_nonnegative_int, required=True)
     p.add_argument("--format", choices=formats)
     p.set_defaults(func=_cmd_nested)
 
     p = sub.add_parser("chiy", help="refined chi_y genera")
     _add_dataset_args(p)
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-N", type=_nonnegative_int, required=True)
     p.add_argument(
         "--method", choices=("product", "exp", "hodge"), default="product"
     )
@@ -454,26 +473,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="Betti numbers of Hilb^n S")
     _add_dataset_args(p)
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-N", type=_nonnegative_int, required=True)
     p.add_argument("--format", choices=("json", "text"))
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("hh", help="Hochschild homology dimensions")
     _add_dataset_args(p)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_nonnegative_int, required=True)
     p.add_argument("--format", choices=("json", "text"))
     p.set_defaults(func=_cmd_hh)
 
     p = sub.add_parser("deform", help="tangent cohomology of Hilb^n S")
     _add_dataset_args(p)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--qmax", type=int, default=3)
+    p.add_argument("-n", type=_nonnegative_int, required=True)
+    p.add_argument("--qmax", type=_nonnegative_int, default=3)
     p.add_argument("--format", choices=("json", "text"))
     p.set_defaults(func=_cmd_deform)
 
     p = sub.add_parser("verify", help="run every self-validation check")
     _add_dataset_args(p)
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-N", type=_nonnegative_int, required=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -483,7 +502,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): stop quietly, and point stdout
+        # at the null device so the interpreter's own flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except InsufficientPowers as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

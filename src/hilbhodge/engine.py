@@ -12,6 +12,32 @@ line bundle.  Each quantity is computable along two independent routes:
 
 The two routes must agree exactly; ``verify``-style callers and the test
 suite exercise that agreement on arbitrary tables.
+
+Routes of each ``verify`` identity and the kernel on each side.  *Euler*
+is :func:`~hilbhodge.series.euler_product` over factors built with
+``int_pow``/``invert``; *strata* is one :func:`super_sym_series` per
+power k (single generators through ``int_pow``/``invert``, no Euler
+product) folded stratum by stratum with ``_conv2``; *exp* is the integer
+log-derivative recurrence of :meth:`~hilbhodge.series.TriSeries.exp`.
+
+========================= ============================== =============================
+identity                  one side                       other side(s)
+========================= ============================== =============================
+product-vs-partition      hilb_series: Euler             hilb_via_partitions: strata
+chi-y-three-way           chi_y_product: Euler           chi_y_exp: exp;
+                                                         chi_y_from_hodge: Euler
+frolicher                 hilb_series: Euler             betti_series: Euler
+hochschild-two-path       hilb_series: Euler             hh_rhs_series: Euler
+nested-two-path           nested_series: Euler           nested_via_strata: strata
+deformation-closed-forms  deformation_dims: Sym series   closed binomial forms
+deformation-omega-trivial deformation_dims: Sym series   hilb_series column: Euler
+oracle-suite              TriSeries.__mul__,             naive_mul,
+                          sym_power_twisted_hodge        super_sym_multiset
+========================= ============================== =============================
+
+frolicher and hochschild-two-path run the Euler kernel on both sides
+(``hilb_series`` against another Euler product); product-vs-partition
+covers that kernel against the strata.
 """
 
 from __future__ import annotations
@@ -20,11 +46,12 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .partitions import bounded_compositions, nested_index_set, partitions
+from .partitions import nested_index_set, partitions
 from .series import BiPolynomial, TriSeries, _format_terms, euler_product
 from .surfaces import DeformationInput, SurfaceDiamond, TwistedTable
 
 GradedDims = dict[int, int]
+_Terms = list[tuple[tuple[int, int], int]]  # (p, q) -> dim as a list of items
 
 __all__ = [
     "EngineError",
@@ -246,52 +273,69 @@ def hilb_coefficient(table: TwistedTable, n: int) -> HodgePolynomial:
     return HodgePolynomial.from_bipolynomial(poly, 2 * n)
 
 
-def _rows_by_p(poly: HodgePolynomial) -> dict[int, dict[int, int]]:
-    rows: dict[int, dict[int, int]] = {}
-    for (p, q), value in poly.items():
-        rows.setdefault(p, {})[q] = value
-    return rows
+def _sym_tables(table: TwistedTable, n: int) -> list[list[_Terms]]:
+    """``tables[k][a]`` lists the Sym^a table of the k-th diamond, k * a <= n.
+
+    One :func:`super_sym_series` per power k, truncated at n // k, yields
+    every symmetric power a stratum of a partition of n can ask for.
+    """
+    tables: list[list[_Terms]] = [[]]
+    for k in range(1, n + 1):
+        series = super_sym_series(table.diamond(k).bigraded(), n // k)
+        tables.append(
+            [list(series.coefficient_of_t(a).items()) for a in range(n // k + 1)]
+        )
+    return tables
+
+
+def _stratum_product(
+    base: dict[tuple[int, int], int],
+    mults: Iterable[int],
+    sym_tables: list[list[_Terms]],
+) -> dict[tuple[int, int], int]:
+    """``base`` times the Sym^{a_k} table of the k-th diamond for every k."""
+    product = base
+    for k, a in enumerate(mults, start=1):
+        if not product:
+            break
+        if a:
+            product = _conv2(product, sym_tables[k][a])
+    return product
+
+
+def _conv2(
+    a: dict[tuple[int, int], int], b: Iterable[tuple[tuple[int, int], int]]
+) -> dict[tuple[int, int], int]:
+    out: dict[tuple[int, int], int] = {}
+    for (ax, ay), av in a.items():
+        for (bx, by), bv in b:
+            key = (ax + bx, ay + by)
+            out[key] = out.get(key, 0) + av * bv
+    return out
+
+
+def _add_shifted(
+    acc: dict[tuple[int, int], int], terms: dict[tuple[int, int], int], shift: int
+) -> None:
+    for (p, q), value in terms.items():
+        key = (p + shift, q + shift)
+        acc[key] = acc.get(key, 0) + value
 
 
 def hilb_via_partitions(table: TwistedTable, n: int) -> HodgePolynomial:
     """Twisted Hodge numbers of Hilb^n S via the partition-indexed sum.
 
-    For each partition (1^a1 ... r^ar) of n the stratum contributes
-    products of symmetric-power tables Sym^{a_k} of the k-th twisted
-    diamond, summed over bounded compositions of p + len - n (and the
-    same in q).  Must agree exactly with :func:`hilb_coefficient`.
+    The stratum of a partition (1^a1 ... r^ar) of n contributes the
+    product of the symmetric-power tables Sym^{a_k} of the k-th twisted
+    diamond, shifted by n - len in both p and q.  Must agree exactly with
+    :func:`hilb_coefficient`.
     """
     _require_powers(table, n, "hilb_via_partitions")
+    sym_tables = _sym_tables(table, n)
     acc: dict[tuple[int, int], int] = {}
     for lam in partitions(n):
-        shift = n - lam.length
-        syms = [
-            sym_power_twisted_hodge(table.diamond(k), a)
-            for k, a in enumerate(lam.mults, start=1)
-        ]
-        rows = [_rows_by_p(s) for s in syms]
-        bounds = [2 * a for a in lam.mults]
-        for itot in range(2 * lam.length + 1):
-            for composition in bounded_compositions(itot, bounds):
-                factor_rows = []
-                for slot, ik in enumerate(composition):
-                    row = rows[slot].get(ik)
-                    if row is None:
-                        break
-                    factor_rows.append(row)
-                else:
-                    jconv = {0: 1}
-                    for row in factor_rows:
-                        nxt: dict[int, int] = {}
-                        for j0, v0 in jconv.items():
-                            for j1, v1 in row.items():
-                                key = j0 + j1
-                                nxt[key] = nxt.get(key, 0) + v0 * v1
-                        jconv = nxt
-                    p = itot + shift
-                    for jtot, value in jconv.items():
-                        key = (p, jtot + shift)
-                        acc[key] = acc.get(key, 0) + value
+        product = _stratum_product({(0, 0): 1}, lam.mults, sym_tables)
+        _add_shifted(acc, product, n - lam.length)
     return HodgePolynomial(acc, 2 * n)
 
 
@@ -326,17 +370,6 @@ def nested_coefficient(
     return HodgePolynomial.from_bipolynomial(poly, 2 * n + 2)
 
 
-def _conv2(
-    a: dict[tuple[int, int], int], b: Iterable[tuple[tuple[int, int], int]]
-) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for (ax, ay), av in a.items():
-        for (bx, by), bv in b:
-            key = (ax + bx, ay + by)
-            out[key] = out.get(key, 0) + av * bv
-    return out
-
-
 def nested_via_strata(
     table_l: TwistedTable, table_llp: TwistedTable, n: int
 ) -> HodgePolynomial:
@@ -350,6 +383,7 @@ def nested_via_strata(
     """
     _require_powers(table_l, n, "nested_via_strata")
     _require_powers(table_llp, n, "nested_via_strata (residual bundle)")
+    sym_tables = _sym_tables(table_l, n)
     acc: dict[tuple[int, int], int] = {}
     for lam, j in nested_index_set(n):
         mults = list(lam.mults)
@@ -360,15 +394,8 @@ def nested_via_strata(
             shift = n - lam.length + 1
             mults[j - 1] -= 1
             residual = table_llp.diamond(j)
-        product = dict(residual.bigraded())
-        for k, a in enumerate(mults, start=1):
-            if not product:
-                break
-            sym = sym_power_twisted_hodge(table_l.diamond(k), a)
-            product = _conv2(product, list(sym.items()))
-        for (p, q), value in product.items():
-            key = (p + shift, q + shift)
-            acc[key] = acc.get(key, 0) + value
+        product = _stratum_product(residual.bigraded(), mults, sym_tables)
+        _add_shifted(acc, product, shift)
     return HodgePolynomial(acc, 2 * n + 2)
 
 

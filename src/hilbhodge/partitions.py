@@ -1,4 +1,4 @@
-"""Integer partitions as multiplicity vectors, and bounded compositions.
+"""Integer partitions as multiplicity vectors, and the nested index set.
 
 A partition of n with a_k parts equal to k is stored as the vector
 (a_1, ..., a_r) with a_r > 0 (empty for n = 0).  All the
@@ -9,11 +9,10 @@ part-list conversion happens anywhere downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "PartitionMultiplicity",
-    "bounded_compositions",
     "nested_index_set",
     "partitions",
 ]
@@ -82,38 +81,6 @@ def partitions(n: int) -> list[PartitionMultiplicity]:
         out.append(PartitionMultiplicity(tuple(mults)))
     out.sort(key=lambda lam: lam.mults)
     return out
-
-
-def bounded_compositions(
-    total: int, bounds: Iterable[int]
-) -> Iterator[tuple[int, ...]]:
-    """All tuples (i_1, ..., i_r) with 0 <= i_k <= bounds[k] and sum = total.
-
-    Yields nothing when ``total`` is negative or exceeds the sum of the
-    bounds; the empty tuple when r = 0 and total = 0.
-    """
-    limits = tuple(bounds)
-    if any(b < 0 for b in limits):
-        raise ValueError("bounds must be nonnegative")
-    if total < 0:
-        return
-    # suffix sums let each slot prune values that cannot be completed
-    suffix = [0] * (len(limits) + 1)
-    for i in range(len(limits) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + limits[i]
-
-    def rec(idx: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if idx == len(limits):
-            if remaining == 0:
-                yield ()
-            return
-        low = max(0, remaining - suffix[idx + 1])
-        high = min(limits[idx], remaining)
-        for value in range(low, high + 1):
-            for rest in rec(idx + 1, remaining - value):
-                yield (value,) + rest
-
-    yield from rec(0, total)
 
 
 def nested_index_set(n: int) -> list[tuple[PartitionMultiplicity, int]]:

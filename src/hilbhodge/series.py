@@ -293,11 +293,33 @@ class TriSeries:
         """Exponential of a series supported in t-degree >= 1."""
         if any(et == 0 for (_, _, et) in self._terms):
             raise BadConstantTerm("exp requires every term to have e_t >= 1")
-        one = TriSeries.one(self.trunc_t)
-        result = one
-        for j in range(self.trunc_t, 0, -1):
-            result = one + (self * result) * Fraction(1, j)
-        return result
+        # F = exp(A) solves t F' = (t A') F, that is n F_n = sum_j (j A_j) F_{n-j}
+        # on t-layers; j A_j stays an int wherever j clears A_j's denominator
+        weighted: list[list[tuple[int, int, Coefficient]]] = [
+            [] for _ in range(self.trunc_t + 1)
+        ]
+        for (ex, ey, et), value in self._terms.items():
+            weighted[et].append((ex, ey, _exact(et * value)))
+        layers: list[dict[tuple[int, int], Coefficient]] = [{(0, 0): 1}]
+        for n in range(1, self.trunc_t + 1):
+            acc: dict[tuple[int, int], Coefficient] = {}
+            for j in range(1, n + 1):
+                previous = layers[n - j].items()
+                for ax, ay, av in weighted[j]:
+                    for (fx, fy), fv in previous:
+                        key = (ax + fx, ay + fy)
+                        acc[key] = acc.get(key, 0) + av * fv
+            layers.append(
+                {key: _exact(Fraction(v, n)) for key, v in acc.items() if v}
+            )
+        return TriSeries._make(
+            {
+                (ex, ey, n): value
+                for n, layer in enumerate(layers)
+                for (ex, ey), value in layer.items()
+            },
+            self.trunc_t,
+        )
 
     def log(self) -> "TriSeries":
         """Logarithm of a series of the form 1 + (t-positive part)."""

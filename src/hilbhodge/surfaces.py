@@ -148,6 +148,10 @@ class TwistedTable:
         return len(self._diamonds) - 1
 
     def diamond(self, k: int) -> SurfaceDiamond:
+        if not 0 <= k < len(self._diamonds):
+            raise IndexError(
+                f"power k={k} is outside the table's range 0..{self.max_power}"
+            )
         return self._diamonds[k]
 
     def diamonds(self) -> tuple[SurfaceDiamond, ...]:

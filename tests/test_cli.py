@@ -1,8 +1,14 @@
 """Command-line surface: rendering, schemas, exit codes, verification."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from conftest import run_cli
+
+import hilbhodge
 
 from hilbhodge.cli import polynomial_from_json, render_diamond, render_latex
 from hilbhodge.engine import hilb_coefficient
@@ -221,12 +227,42 @@ def test_bad_arguments_exit_1():
 
 
 def test_negative_arguments_exit_1():
-    for argv in (
-        ("hilb", "--preset", "hopf", "-n", "-1"),
-        ("hilb", "--preset", "hopf", "-N", "-2"),
-        ("sym", "--preset", "k3", "-a", "-2"),
-        ("deform", "--preset", "k3", "-n", "2", "--qmax", "-3"),
+    for argv, flag in (
+        (("hilb", "--preset", "hopf", "-n", "-1"), "-n"),
+        (("hilb", "--preset", "hopf", "-N", "-2"), "-N"),
+        (("sym", "--preset", "k3", "-a", "-2"), "-a"),
+        (("nested", "--preset", "k3", "-n", "-1"), "-n"),
+        (("chiy", "--preset", "k3", "-N", "-1"), "-N"),
+        (("verify", "--preset", "k3", "-N", "-3"), "-N"),
+        (("deform", "--preset", "k3", "-n", "2", "--qmax", "-3"), "--qmax"),
     ):
-        code, _, err = run_cli(*argv)
+        code, out, err = run_cli(*argv)
         assert code == 1
-        assert "error" in err
+        assert out == ""
+        assert f"argument {flag}: must be nonnegative" in err
+
+
+def test_sym_negative_bundle_power_exits_1():
+    # a negative k used to index the table from its end and print a diamond
+    code, out, err = run_cli("sym", "--preset", "k3", "-a", "2", "-k", "-1")
+    assert code == 1
+    assert out == ""
+    assert "argument -k: must be nonnegative, got -1" in err
+
+
+def test_closed_stdout_exits_quietly():
+    env = dict(os.environ)
+    src = str(Path(hilbhodge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    # about 220 kB of output, well beyond a pipe's buffer
+    argv = [sys.executable, "-m", "hilbhodge.cli"]
+    argv += ["hilb", "--preset", "torus", "-N", "12"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == 141

@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 from conftest import random_symmetric_table, random_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbhodge.engine import (
     HodgePolynomial,
@@ -32,7 +34,7 @@ from hilbhodge.engine import (
 )
 from hilbhodge.oracles import super_sym_multiset
 from hilbhodge.series import TriSeries
-from hilbhodge.surfaces import preset
+from hilbhodge.surfaces import SurfaceDiamond, TwistedTable, preset
 
 HOPF = preset("hopf", max_power=12)
 
@@ -192,6 +194,22 @@ def test_partitions_route_matches_product_route():
             assert got == hilb_via_partitions(table, n)
 
 
+def twisted_tables(max_power):
+    """Tables of max_power + 1 independent diamonds with entries 0..3."""
+    grid = st.lists(st.integers(0, 3), min_size=3, max_size=3)
+    diamond = st.lists(grid, min_size=3, max_size=3).map(SurfaceDiamond)
+    return st.lists(diamond, min_size=max_power + 1, max_size=max_power + 1).map(
+        TwistedTable
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), twisted_tables(n))))
+def test_strata_route_matches_product_route_on_random_tables(case):
+    n, table = case
+    assert hilb_via_partitions(table, n) == hilb_coefficient(table, n)
+
+
 # -- nested spaces -------------------------------------------------------------
 
 
@@ -234,6 +252,19 @@ def test_nested_strata_matches_series():
                 series.coefficient_of_t(n), 2 * n + 2
             )
             assert got == nested_via_strata(table_l, table_lp, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(st.just(n), twisted_tables(n), twisted_tables(n))
+    )
+)
+def test_nested_strata_match_product_route_on_random_tables(case):
+    n, table_l, table_lp = case
+    assert nested_via_strata(table_l, table_lp, n) == nested_coefficient(
+        table_l, table_lp, n
+    )
 
 
 def test_nested_degree_bounds():

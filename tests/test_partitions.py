@@ -1,10 +1,9 @@
-"""Partition enumeration, bounded compositions, and the nested index set."""
+"""Partition enumeration and the nested index set."""
 
 import pytest
 
 from hilbhodge.partitions import (
     PartitionMultiplicity,
-    bounded_compositions,
     nested_index_set,
     partitions,
 )
@@ -66,37 +65,6 @@ def test_partition_count_matches_euler_product():
     )
     for n in range(9):
         assert series.coefficient(0, 0, n) == len(partitions(n))
-
-
-def test_bounded_compositions_basic():
-    got = set(bounded_compositions(2, (2, 2)))
-    assert got == {(0, 2), (1, 1), (2, 0)}
-
-
-def test_bounded_compositions_negative_total():
-    assert list(bounded_compositions(-1, (3, 3))) == []
-
-
-def test_bounded_compositions_zero_total():
-    assert list(bounded_compositions(0, ())) == [()]
-    assert list(bounded_compositions(0, (4, 1, 2))) == [(0, 0, 0)]
-
-
-def test_bounded_compositions_respect_bounds():
-    for comp in bounded_compositions(5, (2, 3, 1)):
-        assert sum(comp) == 5
-        assert all(0 <= v <= b for v, b in zip(comp, (2, 3, 1)))
-
-
-def test_bounded_compositions_count_matches_polynomial():
-    # number of compositions = coefficient in prod_k (1 + z + ... + z^{b_k})
-    bounds = (2, 1, 3)
-    poly = TriSeries.one(6)
-    for b in bounds:
-        poly = poly * TriSeries({(0, 0, j): 1 for j in range(b + 1)}, 6)
-    for total in range(7):
-        count = sum(1 for _ in bounded_compositions(total, bounds))
-        assert count == poly.coefficient(0, 0, total)
 
 
 def test_nested_index_set_zero():

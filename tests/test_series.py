@@ -354,6 +354,42 @@ def test_exp_log_round_trip(a):
     assert one_plus.log().exp() == one_plus
 
 
+def horner_exp(a):
+    """exp by N nested full-series multiplications, 1 + a/1 (1 + a/2 (1 + ...))."""
+    one = TriSeries.one(a.trunc_t)
+    result = one
+    for j in range(a.trunc_t, 0, -1):
+        result = one + (a * result) * Fraction(1, j)
+    return result
+
+
+@st.composite
+def fraction_series_st(draw, trunc=4):
+    n_terms = draw(st.integers(0, 6))
+    terms = {}
+    for _ in range(n_terms):
+        key = (
+            draw(st.integers(0, 2)),
+            draw(st.integers(0, 2)),
+            draw(st.integers(1, trunc)),
+        )
+        terms[key] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
+    return TriSeries(terms, trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_series_st())
+def test_exp_recurrence_matches_horner_loop(a):
+    assert a.exp() == horner_exp(a)
+
+
+def test_exp_of_half_t_stays_non_integral():
+    got = TriSeries.monomial(Fraction(1, 2), 0, 0, 1, 3).exp()
+    assert not got.is_integral()
+    assert got.coefficient(0, 0, 1) == Fraction(1, 2)
+    assert got.coefficient(0, 0, 3) == Fraction(1, 48)
+
+
 @settings(max_examples=60, deadline=None)
 @given(series_st(), series_st())
 def test_mul_matches_naive_oracle(a, b):

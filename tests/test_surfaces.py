@@ -149,6 +149,13 @@ def test_table_requires_power_zero():
         TwistedTable([])
 
 
+def test_table_rejects_powers_outside_its_range():
+    table = preset("k3", max_power=2).table
+    for k in (-1, 3):
+        with pytest.raises(IndexError, match=f"k={k}"):
+            table.diamond(k)
+
+
 def test_nested_or_main_defaults_to_main():
     ds = preset("k3", max_power=2)
     assert ds.nested_table is None
