@@ -11,6 +11,17 @@ Subcommands::
     deform  tangent/obstruction dimensions h^q(Hilb^n S, T)
     verify  self-validation: every two-path identity on the given data
 
+A ``verify`` check whose input the dataset does not carry reports
+``SKIP (reason)`` and the other checks still run; among the reasons are a
+missing deformation block, a twisted table where a check needs the trivial
+bundle, N < 3 for deformation-omega-trivial, and a ``nested_diamonds``
+shorter than
+min(N, 4) + 1 entries for nested-two-path (the reason names the missing
+power).  A main table that stops below N is exit 2 before any check.
+An ``--input`` dataset that declares ``kahler_symmetric`` but has an
+asymmetric diamond prints ``warning: ...`` to stderr; stdout and the exit
+code are those of the same dataset without the flag.
+
 Exit codes: 0 success, 1 parse/validation errors, 2 insufficient twisted
 powers in the table, 3 a verify check failed, 141 the reader closed stdout
 before the output ended (128 + SIGPIPE, as a shell reports for a process
@@ -35,6 +46,7 @@ from .surfaces import (
     SurfaceDataset,
     load_dataset,
     preset,
+    validate,
 )
 
 __all__ = ["main", "render_diamond", "render_json", "render_latex", "render_poly",
@@ -135,7 +147,10 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
 def _dataset(args: argparse.Namespace, needed_power: int) -> SurfaceDataset:
     if args.preset:
         return preset(args.preset, max_power=max(needed_power, 0))
-    return load_dataset(args.input)
+    ds = load_dataset(args.input)
+    for warning in validate(ds):
+        print(f"warning: {warning}", file=sys.stderr)
+    return ds
 
 
 # -- command handlers ----------------------------------------------------------
@@ -291,7 +306,7 @@ def _omega_trivial_applicable(ds: SurfaceDataset) -> bool:
 
 def _verify_checks(ds: SurfaceDataset, N: int):
     table = ds.table
-    # one product-route series feeds product-vs-partition and hochschild
+    # the one product-route series: every check on the main Hodge series reads it
     series = engine.hilb_series(table, N)
     layers = [
         HodgePolynomial.from_bipolynomial(series.coefficient_of_t(n), 2 * n)
@@ -299,14 +314,14 @@ def _verify_checks(ds: SurfaceDataset, N: int):
     ]
 
     def product_vs_partition() -> None:
-        for n, got in enumerate(layers):
-            if got != engine.hilb_via_partitions(table, n):
+        for n, (got, want) in enumerate(zip(layers, engine.hilb_strata(table, N))):
+            if got != want:
                 raise _CheckFailed(f"paths disagree at n={n}")
 
     def chi_y_three_way() -> None:
         by_product = engine.chi_y_product(table, N)
         by_exp = engine.chi_y_exp(table, N)
-        by_hodge = engine.chi_y_from_hodge(table, N)
+        by_hodge = engine.chi_y_from_hodge_series(series)
         if by_product != by_exp:
             raise _CheckFailed("product and exp routes disagree")
         if by_product != by_hodge:
@@ -316,7 +331,7 @@ def _verify_checks(ds: SurfaceDataset, N: int):
         if not table.is_constant():
             raise _CheckSkipped("table is not a trivial-bundle table")
         try:
-            engine.frolicher_check(table, ds.betti, N)
+            engine.frolicher_check_series(series, ds.betti)
         except MismatchReport as exc:
             raise _CheckFailed(str(exc)) from exc
 
@@ -329,10 +344,17 @@ def _verify_checks(ds: SurfaceDataset, N: int):
     def nested_two_path() -> None:
         llp = ds.nested_or_main()
         depth = min(N, 4)
-        series = engine.nested_series(table, llp, depth)
+        # the main table reaches N (hilb_series checked it), so only a
+        # nested_diamonds shorter than the depth stops here
+        if llp.max_power < depth:
+            raise _CheckSkipped(
+                f"nested_diamonds stops at K={llp.max_power}, the check needs "
+                f"every k <= {depth}: k={llp.max_power + 1} is missing"
+            )
+        nested = engine.nested_series(table, llp, depth)
         for n in range(depth + 1):
             got = HodgePolynomial.from_bipolynomial(
-                series.coefficient_of_t(n), 2 * n + 2
+                nested.coefficient_of_t(n), 2 * n + 2
             )
             want = engine.nested_via_strata(table, llp, n)
             if got != want:
@@ -355,7 +377,7 @@ def _verify_checks(ds: SurfaceDataset, N: int):
             raise _CheckSkipped("needs N >= 3")
         for n in (2, 3):
             got = engine.deformation_dims(ds.deformation, n, 3)
-            want = engine.tangent_dims_from_series(table, n, 3)
+            want = engine.tangent_dims_from_layer(layers[n], 3)
             if got != want:
                 raise _CheckFailed(f"n={n}: formula {got} != series column {want}")
 

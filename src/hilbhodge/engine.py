@@ -17,27 +17,37 @@ Routes of each ``verify`` identity and the kernel on each side.  *Euler*
 is :func:`~hilbhodge.series.euler_product` over factors built with
 ``int_pow``/``invert``; *strata* is one :func:`super_sym_series` per
 power k (single generators through ``int_pow``/``invert``, no Euler
-product) folded stratum by stratum with ``_conv2``; *exp* is the integer
+product) folded stratum by stratum with ``_conv2``: for the main series
+in one depth-first pass over the partitions of every n <= N
+(:func:`hilb_strata`), for the nested spaces one fold per marked
+partition (:func:`nested_via_strata`); *exp* is the integer
 log-derivative recurrence of :meth:`~hilbhodge.series.TriSeries.exp`.
+``verify`` expands ``hilb_series(table, N)`` once; *shared* marks the
+sides that read that one series, through the ``*_series``/``*_layer``
+helpers behind :func:`chi_y_from_hodge`, :func:`frolicher_check` and
+:func:`tangent_dims_from_series`.
 
 ========================= ============================== =============================
 identity                  one side                       other side(s)
 ========================= ============================== =============================
-product-vs-partition      hilb_series: Euler             hilb_via_partitions: strata
+product-vs-partition      hilb_series (shared): Euler    hilb_strata: strata
 chi-y-three-way           chi_y_product: Euler           chi_y_exp: exp;
-                                                         chi_y_from_hodge: Euler
-frolicher                 hilb_series: Euler             betti_series: Euler
-hochschild-two-path       hilb_series: Euler             hh_rhs_series: Euler
+                                                         chi_y_from_hodge_series
+                                                         (shared): Euler
+frolicher                 hilb_series (shared): Euler    betti_series: Euler
+hochschild-two-path       hilb_series (shared): Euler    hh_rhs_series: Euler
 nested-two-path           nested_series: Euler           nested_via_strata: strata
 deformation-closed-forms  deformation_dims: Sym series   closed binomial forms
-deformation-omega-trivial deformation_dims: Sym series   hilb_series column: Euler
+deformation-omega-trivial deformation_dims: Sym series   tangent_dims_from_layer
+                                                         (shared): Euler
 oracle-suite              TriSeries.__mul__,             naive_mul,
                           sym_power_twisted_hodge        super_sym_multiset
 ========================= ============================== =============================
 
 frolicher and hochschild-two-path run the Euler kernel on both sides
 (``hilb_series`` against another Euler product); product-vs-partition
-covers that kernel against the strata.
+covers that kernel against the strata.  No identity compares the shared
+series with itself.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
-from .partitions import nested_index_set, partitions
+from .partitions import nested_index_set
 from .series import BiPolynomial, TriSeries, _format_terms, euler_product
 from .surfaces import DeformationInput, SurfaceDiamond, TwistedTable
 
@@ -63,15 +73,18 @@ __all__ = [
     "betti_series",
     "chi_y_exp",
     "chi_y_from_hodge",
+    "chi_y_from_hodge_series",
     "chi_y_product",
     "deformation_closed_forms",
     "deformation_dims",
     "frolicher_check",
+    "frolicher_check_series",
     "hh_dims",
     "hh_from_rhs",
     "hh_rhs_series",
     "hilb_coefficient",
     "hilb_series",
+    "hilb_strata",
     "hilb_via_partitions",
     "nested_coefficient",
     "nested_series",
@@ -79,6 +92,7 @@ __all__ = [
     "sn_invariant_tangent",
     "super_sym_series",
     "sym_power_twisted_hodge",
+    "tangent_dims_from_layer",
     "tangent_dims_from_series",
 ]
 
@@ -322,21 +336,44 @@ def _add_shifted(
         acc[key] = acc.get(key, 0) + value
 
 
-def hilb_via_partitions(table: TwistedTable, n: int) -> HodgePolynomial:
-    """Twisted Hodge numbers of Hilb^n S via the partition-indexed sum.
+def hilb_strata(table: TwistedTable, trunc_t: int) -> list[HodgePolynomial]:
+    """Twisted Hodge numbers of Hilb^n S for every n <= N via the stratum sum.
 
     The stratum of a partition (1^a1 ... r^ar) of n contributes the
     product of the symmetric-power tables Sym^{a_k} of the k-th twisted
-    diamond, shifted by n - len in both p and q.  Must agree exactly with
+    diamond, shifted by n - len in both p and q.  One depth-first pass
+    walks the partitions of every n <= N, choosing part sizes in
+    ascending order: a partition's product is its parent's times one
+    Sym table, and only the products on the current path stay alive.
+    Entry n must agree exactly with :func:`hilb_coefficient`.
+    """
+    _require_powers(table, trunc_t, "hilb_strata")
+    sym_tables = _sym_tables(table, trunc_t)
+    acc: list[dict[tuple[int, int], int]] = [{(0, 0): 1}]
+    acc += [{} for _ in range(trunc_t)]
+
+    def extend(smallest: int, n: int, length: int, product) -> None:
+        for k in range(smallest, trunc_t - n + 1):
+            for a in range(1, (trunc_t - n) // k + 1):
+                child = _conv2(product, sym_tables[k][a])
+                if not child:  # so is every product below it
+                    continue
+                m = n + k * a
+                _add_shifted(acc[m], child, m - length - a)
+                extend(k + 1, m, length + a, child)
+
+    extend(1, 0, 0, {(0, 0): 1})
+    return [HodgePolynomial(terms, 2 * n) for n, terms in enumerate(acc)]
+
+
+def hilb_via_partitions(table: TwistedTable, n: int) -> HodgePolynomial:
+    """Twisted Hodge numbers of Hilb^n S via the partition-indexed sum.
+
+    Entry n of :func:`hilb_strata`; must agree exactly with
     :func:`hilb_coefficient`.
     """
     _require_powers(table, n, "hilb_via_partitions")
-    sym_tables = _sym_tables(table, n)
-    acc: dict[tuple[int, int], int] = {}
-    for lam in partitions(n):
-        product = _stratum_product({(0, 0): 1}, lam.mults, sym_tables)
-        _add_shifted(acc, product, n - lam.length)
-    return HodgePolynomial(acc, 2 * n)
+    return hilb_strata(table, n)[n]
 
 
 # -- nested Hilbert schemes ------------------------------------------------
@@ -462,7 +499,12 @@ def chi_y_from_hodge(table: TwistedTable, trunc_t: int) -> TriSeries:
     result lives in (y, t) like the other two routes.
     """
     _require_powers(table, trunc_t, "chi_y_from_hodge")
-    return hilb_series(table, trunc_t).substitute({"x": "-y", "y": -1})
+    return chi_y_from_hodge_series(hilb_series(table, trunc_t))
+
+
+def chi_y_from_hodge_series(series: TriSeries) -> TriSeries:
+    """:func:`chi_y_from_hodge` of an already expanded :func:`hilb_series`."""
+    return series.substitute({"x": "-y", "y": -1})
 
 
 # -- Betti numbers and the Frolicher collapse -------------------------------
@@ -498,7 +540,13 @@ def frolicher_check(table: TwistedTable, betti: Iterable[int], trunc_t: int) -> 
     Betti numbers with b_i(S) = sum_{p+q=i} h^{p,q}(S).  Raises
     :class:`MismatchReport` at the first failing (n, i).
     """
-    collapsed = hilb_series(table, trunc_t).substitute({"y": "x"})
+    frolicher_check_series(hilb_series(table, trunc_t), betti)
+
+
+def frolicher_check_series(series: TriSeries, betti: Iterable[int]) -> None:
+    """:func:`frolicher_check` of an already expanded :func:`hilb_series`."""
+    trunc_t = series.trunc_t
+    collapsed = series.substitute({"y": "x"})
     target = betti_series(betti, trunc_t)
     if collapsed == target:
         return
@@ -659,5 +707,10 @@ def tangent_dims_from_series(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    poly = hilb_coefficient(table, n)
-    return {q: poly.entry(2 * n - 1, q) for q in range(qmax + 1)}
+    return tangent_dims_from_layer(hilb_coefficient(table, n), qmax)
+
+
+def tangent_dims_from_layer(poly: HodgePolynomial, qmax: int = 3) -> GradedDims:
+    """:func:`tangent_dims_from_series` of the Hodge numbers of Hilb^n, n >= 1."""
+    column = poly.space_dim - 1  # p = 2n - 1
+    return {q: poly.entry(column, q) for q in range(qmax + 1)}

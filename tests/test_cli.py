@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import run_cli
 
 import hilbhodge
 
 from hilbhodge.cli import polynomial_from_json, render_diamond, render_latex
 from hilbhodge.engine import hilb_coefficient
-from hilbhodge.surfaces import preset, serialize
+from hilbhodge.surfaces import PRESET_NAMES, preset, serialize
 
 HOPF_HILB2_DIAMOND = """\
         1
@@ -189,6 +190,75 @@ def test_verify_corrupted_dataset_exits_3(tmp_path):
     code, out, _ = run_cli("verify", "--input", str(path), "-N", "4")
     assert code == 3
     assert "first failing check: deformation-omega-trivial" in out
+
+
+def test_verify_short_nested_table_skips_only_the_nested_check(tmp_path):
+    # nested_diamonds shorter than the order used to exit 2 after four checks
+    obj = json.loads(serialize(preset("torus", max_power=6)))
+    obj["nested_diamonds"] = obj["diamonds"][:2]
+    path = tmp_path / "short_nested.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("verify", "--input", str(path), "-N", "6")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[4] == (
+        "nested-two-path: SKIP (nested_diamonds stops at K=1, the check needs "
+        "every k <= 4: k=2 is missing)"
+    )
+    assert lines[5:] == [
+        "deformation-closed-forms: PASS",
+        "deformation-omega-trivial: PASS",
+        "oracle-suite: PASS",
+        "all checks passed",
+    ]
+
+
+_NO_DEFORMATION = "SKIP (dataset carries no deformation block)"
+_NOT_OMEGA_TRIVIAL = "SKIP (table does not describe a trivial canonical bundle)"
+# statuses of deformation-closed-forms and deformation-omega-trivial at N=4;
+# every other check passes on every preset
+_VERIFY_N4_DEFORMATION = {
+    "bielliptic_ord2": ("PASS", _NOT_OMEGA_TRIVIAL),
+    "bielliptic_ord3": ("PASS", _NOT_OMEGA_TRIVIAL),
+    "enriques": ("PASS", _NOT_OMEGA_TRIVIAL),
+    "hopf": (_NO_DEFORMATION, _NOT_OMEGA_TRIVIAL),
+    "inoue": (_NO_DEFORMATION, _NOT_OMEGA_TRIVIAL),
+    "k3": ("PASS", "PASS"),
+    "kodaira_secondary": (_NO_DEFORMATION, _NOT_OMEGA_TRIVIAL),
+    "p2": ("PASS", _NOT_OMEGA_TRIVIAL),
+    "torus": ("PASS", "PASS"),
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_verify_golden_output_on_presets(name):
+    closed, omega = _VERIFY_N4_DEFORMATION[name]
+    want = (
+        "product-vs-partition: PASS\n"
+        "chi-y-three-way: PASS\n"
+        "frolicher: PASS\n"
+        "hochschild-two-path: PASS\n"
+        "nested-two-path: PASS\n"
+        f"deformation-closed-forms: {closed}\n"
+        f"deformation-omega-trivial: {omega}\n"
+        "oracle-suite: PASS\n"
+        "all checks passed\n"
+    )
+    assert run_cli("verify", "--preset", name, "-N", "4") == (0, want, "")
+
+
+def test_kahler_asymmetry_warns_on_stderr(tmp_path):
+    obj = json.loads(serialize(preset("hopf", max_power=2)))  # asymmetric diamonds
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(obj))
+    obj["kahler_symmetric"] = True
+    flagged = tmp_path / "flagged.json"
+    flagged.write_text(json.dumps(obj))
+    code, out, err = run_cli("hilb", "--input", str(flagged), "-n", "2")
+    assert (code, out) == run_cli("hilb", "--input", str(plain), "-n", "2")[:2]
+    assert code == 0
+    assert err == "warning: kahler_symmetric is set but diamond k=0 is asymmetric\n"
 
 
 def test_insufficient_powers_exits_2(tmp_path):

@@ -23,6 +23,7 @@ from hilbhodge.engine import (
     hh_rhs_series,
     hilb_coefficient,
     hilb_series,
+    hilb_strata,
     hilb_via_partitions,
     nested_coefficient,
     nested_series,
@@ -33,8 +34,9 @@ from hilbhodge.engine import (
     tangent_dims_from_series,
 )
 from hilbhodge.oracles import super_sym_multiset
+from hilbhodge.partitions import partitions
 from hilbhodge.series import TriSeries
-from hilbhodge.surfaces import SurfaceDiamond, TwistedTable, preset
+from hilbhodge.surfaces import PRESET_NAMES, SurfaceDiamond, TwistedTable, preset
 
 HOPF = preset("hopf", max_power=12)
 
@@ -208,6 +210,69 @@ def twisted_tables(max_power):
 def test_strata_route_matches_product_route_on_random_tables(case):
     n, table = case
     assert hilb_via_partitions(table, n) == hilb_coefficient(table, n)
+
+
+def _strata_per_partition(table, n):
+    """The strata route as one fresh fold per partition of n.
+
+    The shape hilb_via_partitions had before the one-pass walk: every
+    stratum's product is rebuilt from its Sym^{a_k} tables in ascending k.
+    """
+    acc = {}
+    for lam in partitions(n):
+        product = {(0, 0): 1}
+        for k, a in enumerate(lam.mults, start=1):
+            if not a:
+                continue
+            factor = sym_power_twisted_hodge(table.diamond(k), a)
+            folded = {}
+            for (p1, q1), u in product.items():
+                for (p2, q2), v in factor.items():
+                    key = (p1 + p2, q1 + q2)
+                    folded[key] = folded.get(key, 0) + u * v
+            product = folded
+        shift = n - lam.length
+        for (p, q), value in product.items():
+            key = (p + shift, q + shift)
+            acc[key] = acc.get(key, 0) + value
+    return HodgePolynomial(acc, 2 * n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), twisted_tables(n))))
+def test_one_pass_strata_match_product_route_and_per_partition_fold(case):
+    N, table = case
+    layers = hilb_strata(table, N)
+    series = hilb_series(table, N)
+    assert layers == [
+        HodgePolynomial.from_bipolynomial(series.coefficient_of_t(n), 2 * n)
+        for n in range(N + 1)
+    ]
+    assert layers == [_strata_per_partition(table, n) for n in range(N + 1)]
+
+
+# -- metamorphic identities ------------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), twisted_tables(n))))
+def test_transposed_table_swaps_x_and_y(case):
+    N, table = case
+    transposed = TwistedTable([d.transposed() for d in table.diamonds()])
+    swapped = hilb_series(table, N).substitute({"x": "y", "y": "x"})
+    assert hilb_series(transposed, N) == swapped
+    for got, poly in zip(hilb_strata(transposed, N), hilb_strata(table, N)):
+        assert dict(got.items()) == {(q, p): v for (p, q), v in poly.items()}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_serre_symmetry_on_untwisted_presets(name):
+    # h^{p,q}(Hilb^n) = h^{2n-p,2n-q}(Hilb^n) for the trivial bundle
+    N = 6
+    series = hilb_series(preset(name, max_power=N).table, N)
+    for n in range(N + 1):
+        terms = dict(series.coefficient_of_t(n).items())
+        assert {(2 * n - p, 2 * n - q): v for (p, q), v in terms.items()} == terms, n
 
 
 # -- nested spaces -------------------------------------------------------------
