@@ -15,13 +15,18 @@ suite exercise that agreement on arbitrary tables.
 
 Routes of each ``verify`` identity and the kernel on each side.  *Euler*
 is :func:`~hilbhodge.series.euler_product` over factors built with
-``int_pow``/``invert``; *strata* is one :func:`super_sym_series` per
-power k (single generators through ``int_pow``/``invert``, no Euler
-product) folded stratum by stratum with ``_conv2``: for the main series
-in one depth-first pass over the partitions of every n <= N
+``int_pow``/``invert``; *strata* is packed ints, binomial Sym tables, no
+TriSeries: every bivariate polynomial is one nonnegative int (Kronecker
+substitution), each Sym^a table of the k-th diamond is a product of the
+closed-form binomial series C(h+j-1, j) of an even generator and C(h, j)
+of an odd one, and a stratum's product is one int multiply: for the main
+series in one depth-first pass over the partitions of every n <= N
 (:func:`hilb_strata`), for the nested spaces one fold per marked
-partition (:func:`nested_via_strata`); *exp* is the integer
-log-derivative recurrence of :meth:`~hilbhodge.series.TriSeries.exp`.
+partition (:func:`nested_via_strata`); *Sym tables* is the same binomial
+kernel alone, behind :func:`super_sym_series`,
+:func:`sym_power_twisted_hodge` and :func:`deformation_dims`; *exp* is
+the integer log-derivative recurrence of
+:meth:`~hilbhodge.series.TriSeries.exp`.
 ``verify`` expands ``hilb_series(table, N)`` once; *shared* marks the
 sides that read that one series, through the ``*_series``/``*_layer``
 helpers behind :func:`chi_y_from_hodge`, :func:`frolicher_check` and
@@ -37,8 +42,8 @@ chi-y-three-way           chi_y_product: Euler           chi_y_exp: exp;
 frolicher                 hilb_series (shared): Euler    betti_series: Euler
 hochschild-two-path       hilb_series (shared): Euler    hh_rhs_series: Euler
 nested-two-path           nested_series: Euler           nested_via_strata: strata
-deformation-closed-forms  deformation_dims: Sym series   closed binomial forms
-deformation-omega-trivial deformation_dims: Sym series   tangent_dims_from_layer
+deformation-closed-forms  deformation_dims: Sym tables   closed binomial forms
+deformation-omega-trivial deformation_dims: Sym tables   tangent_dims_from_layer
                                                          (shared): Euler
 oracle-suite              TriSeries.__mul__,             naive_mul,
                           sym_power_twisted_hodge        super_sym_multiset
@@ -46,8 +51,9 @@ oracle-suite              TriSeries.__mul__,             naive_mul,
 
 frolicher and hochschild-two-path run the Euler kernel on both sides
 (``hilb_series`` against another Euler product); product-vs-partition
-covers that kernel against the strata.  No identity compares the shared
-series with itself.
+covers that kernel against the strata.  oracle-suite covers the Sym
+tables, which the strata side shares, against brute-force multiset
+enumeration.  No identity compares the shared series with itself.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ from .series import BiPolynomial, TriSeries, _format_terms, euler_product
 from .surfaces import DeformationInput, SurfaceDiamond, TwistedTable
 
 GradedDims = dict[int, int]
-_Terms = list[tuple[tuple[int, int], int]]  # (p, q) -> dim as a list of items
 
 __all__ = [
     "EngineError",
@@ -219,6 +224,85 @@ class HodgePolynomial:
 
 
 # -- super symmetric powers ----------------------------------------------
+#
+# The Sym tables of the strata route are packed polynomials: one
+# nonnegative int holding the coefficient of x^p y^q in the ``slot``-bit
+# slot number ``p * width + q``.  A product of two packed polynomials is
+# one int multiply, exact while every coefficient of the product and of
+# its factors fits a slot and every q-degree stays below ``width``
+# (Kronecker substitution; all coefficients here are dimensions, so no
+# sign ever borrows across a slot).  Each caller sizes the slot from an
+# exact bound: a coefficient never exceeds its polynomial's value at
+# x = y = 1, and those totals are computed in plain ints first.
+
+
+def _slot_bits(bound: int) -> int:
+    """Bits per slot for coefficients <= ``bound``, rounded up to whole bytes."""
+    return 8 * max(1, (bound.bit_length() + 7) // 8)
+
+
+def _pack(terms: Mapping[tuple[int, int], int], width: int, slot: int) -> int:
+    return sum(v << (p * width + q) * slot for (p, q), v in terms.items())
+
+
+def _unpack(packed: int, width: int, slot: int) -> dict[tuple[int, int], int]:
+    """The (p, q) -> coefficient map of a packed polynomial, in one byte pass."""
+    size = slot // 8
+    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    terms = {}
+    for start in range(0, len(raw), size):
+        value = int.from_bytes(raw[start : start + size], "little")
+        if value:
+            terms[divmod(start // size, width)] = value
+    return terms
+
+
+def _sym_layers(
+    dims: Mapping[tuple[int, int], int], top: int, width: int, slot: int
+) -> list[int]:
+    """Packed Sym^a of a bigraded super space for a = 0..top.
+
+    V has v_{p,q} generators in bidegree (p, q), odd when p + q is odd.
+    Sym(V) is the tensor product over bidegrees of Sym of an even space
+    (C(v+j-1, j) monomials of degree j) or of an exterior algebra
+    (C(v, j)), each generator's monomial x^{pj} y^{qj} at slot shift
+    ``j * (p * width + q) * slot``; the layers are convolved in t.  With
+    ``width = slot = 0`` every monomial sits at x = y = 1 and the layers
+    are the plain dimensions of Sym^a.
+    """
+    layers = [1] + [0] * top
+    for (p, q), v in sorted(dims.items()):
+        if not v:
+            continue
+        if (p + q) % 2:
+            coeffs = [comb(v, j) for j in range(min(v, top) + 1)]
+        else:
+            coeffs = [comb(v + j - 1, j) for j in range(top + 1)]
+        shift = (p * width + q) * slot
+        layers = [
+            sum(
+                layers[a - j] * coeffs[j] << j * shift
+                for j in range(min(a, len(coeffs) - 1) + 1)
+            )
+            for a in range(top + 1)
+        ]
+    return layers
+
+
+def _sym_terms(
+    dims: Mapping[tuple[int, int], int], top: int
+) -> list[dict[tuple[int, int], int]]:
+    """The (p, q) -> dim maps of Sym^a of a bigraded super space, a = 0..top."""
+    if top < 0:
+        raise ValueError("truncation order must be nonnegative")
+    for (p, q), v in dims.items():
+        if v < 0:
+            raise ValueError("dimensions must be nonnegative")
+        if p < 0 or q < 0:
+            raise ValueError(f"negative degree in {(p, q)}")
+    width = top * max((max(pq) for pq, v in dims.items() if v), default=0) + 1
+    slot = _slot_bits(max(_sym_layers(dims, top, 0, 0)))
+    return [_unpack(layer, width, slot) for layer in _sym_layers(dims, top, width, slot)]
 
 
 def super_sym_series(
@@ -229,18 +313,14 @@ def super_sym_series(
     V has v_{p,q} generators in bidegree (p, q); a generator is odd when
     p + q is odd.  Even generators contribute a factor
     (1 - x^p y^q t)^-v, odd ones (1 + x^p y^q t)^v, which is the closed
-    form of the boson/fermion counting rule.
+    form of the boson/fermion counting rule; their coefficients are
+    binomials, multiplied out as packed polynomials.
     """
-    result = TriSeries.one(trunc_t)
-    for (p, q), v in sorted(dims.items()):
-        if v < 0:
-            raise ValueError("dimensions must be nonnegative")
-        if not v:
-            continue
-        sign = -1 if (p + q) % 2 else 1
-        base = TriSeries({(0, 0, 0): 1, (p, q, 1): -sign}, trunc_t)
-        result = result * base.int_pow(-sign * v)
-    return result
+    layers = _sym_terms(dims, trunc_t)
+    return TriSeries(
+        {(p, q, a): v for a, terms in enumerate(layers) for (p, q), v in terms.items()},
+        trunc_t,
+    )
 
 
 def sym_power_twisted_hodge(diamond: SurfaceDiamond, a: int) -> HodgePolynomial:
@@ -252,8 +332,7 @@ def sym_power_twisted_hodge(diamond: SurfaceDiamond, a: int) -> HodgePolynomial:
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
-    poly = super_sym_series(diamond.bigraded(), a).coefficient_of_t(a)
-    return HodgePolynomial.from_bipolynomial(poly, 2 * a)
+    return HodgePolynomial(_sym_terms(diamond.bigraded(), a)[a], 2 * a)
 
 
 # -- the main Euler product and its partition-sum twin ---------------------
@@ -287,53 +366,28 @@ def hilb_coefficient(table: TwistedTable, n: int) -> HodgePolynomial:
     return HodgePolynomial.from_bipolynomial(poly, 2 * n)
 
 
-def _sym_tables(table: TwistedTable, n: int) -> list[list[_Terms]]:
-    """``tables[k][a]`` lists the Sym^a table of the k-th diamond, k * a <= n.
+def _sym_tables(table: TwistedTable, n: int, width: int, slot: int) -> list[list[int]]:
+    """``tables[k][a]`` is the packed Sym^a table of the k-th diamond, k * a <= n."""
+    return [[]] + [
+        _sym_layers(table.diamond(k).bigraded(), n // k, width, slot)
+        for k in range(1, n + 1)
+    ]
 
-    One :func:`super_sym_series` per power k, truncated at n // k, yields
-    every symmetric power a stratum of a partition of n can ask for.
+
+def _hilb_totals(table: TwistedTable, n: int) -> list[int]:
+    """The stratum sum of every layer m <= n at x = y = 1.
+
+    The coefficient of t^m in prod_k sum_a dim Sym^a(k-th diamond) t^{ka};
+    it bounds every coefficient of every stratum product of layer m.
     """
-    tables: list[list[_Terms]] = [[]]
+    totals = [1] + [0] * n
     for k in range(1, n + 1):
-        series = super_sym_series(table.diamond(k).bigraded(), n // k)
-        tables.append(
-            [list(series.coefficient_of_t(a).items()) for a in range(n // k + 1)]
-        )
-    return tables
-
-
-def _stratum_product(
-    base: dict[tuple[int, int], int],
-    mults: Iterable[int],
-    sym_tables: list[list[_Terms]],
-) -> dict[tuple[int, int], int]:
-    """``base`` times the Sym^{a_k} table of the k-th diamond for every k."""
-    product = base
-    for k, a in enumerate(mults, start=1):
-        if not product:
-            break
-        if a:
-            product = _conv2(product, sym_tables[k][a])
-    return product
-
-
-def _conv2(
-    a: dict[tuple[int, int], int], b: Iterable[tuple[tuple[int, int], int]]
-) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for (ax, ay), av in a.items():
-        for (bx, by), bv in b:
-            key = (ax + bx, ay + by)
-            out[key] = out.get(key, 0) + av * bv
-    return out
-
-
-def _add_shifted(
-    acc: dict[tuple[int, int], int], terms: dict[tuple[int, int], int], shift: int
-) -> None:
-    for (p, q), value in terms.items():
-        key = (p + shift, q + shift)
-        acc[key] = acc.get(key, 0) + value
+        dims = _sym_layers(table.diamond(k).bigraded(), n // k, 0, 0)
+        totals = [
+            sum(totals[m - k * a] * dims[a] for a in range(m // k + 1))
+            for m in range(n + 1)
+        ]
+    return totals
 
 
 def hilb_strata(table: TwistedTable, trunc_t: int) -> list[HodgePolynomial]:
@@ -345,25 +399,34 @@ def hilb_strata(table: TwistedTable, trunc_t: int) -> list[HodgePolynomial]:
     walks the partitions of every n <= N, choosing part sizes in
     ascending order: a partition's product is its parent's times one
     Sym table, and only the products on the current path stay alive.
+    Every polynomial is packed (layer n lives in [0, 2n]^2, so
+    width = 2N + 1), a product is one int multiply and the shift by
+    (xy)^s is a left shift by s * (width + 1) slots.
     Entry n must agree exactly with :func:`hilb_coefficient`.
     """
     _require_powers(table, trunc_t, "hilb_strata")
-    sym_tables = _sym_tables(table, trunc_t)
-    acc: list[dict[tuple[int, int], int]] = [{(0, 0): 1}]
-    acc += [{} for _ in range(trunc_t)]
+    width = 2 * trunc_t + 1
+    slot = _slot_bits(max(_hilb_totals(table, trunc_t)))
+    sym_tables = _sym_tables(table, trunc_t, width, slot)
+    diagonal = (width + 1) * slot
+    acc = [1] + [0] * trunc_t
 
-    def extend(smallest: int, n: int, length: int, product) -> None:
+    def extend(smallest: int, n: int, length: int, product: int) -> None:
         for k in range(smallest, trunc_t - n + 1):
+            row = sym_tables[k]
             for a in range(1, (trunc_t - n) // k + 1):
-                child = _conv2(product, sym_tables[k][a])
-                if not child:  # so is every product below it
-                    continue
+                if not row[a]:  # Sym^a = 0, and so is every higher power
+                    break
+                child = product * row[a]
                 m = n + k * a
-                _add_shifted(acc[m], child, m - length - a)
+                acc[m] += child << (m - length - a) * diagonal
                 extend(k + 1, m, length + a, child)
 
-    extend(1, 0, 0, {(0, 0): 1})
-    return [HodgePolynomial(terms, 2 * n) for n, terms in enumerate(acc)]
+    extend(1, 0, 0, 1)
+    return [
+        HodgePolynomial(_unpack(layer, width, slot), 2 * n)
+        for n, layer in enumerate(acc)
+    ]
 
 
 def hilb_via_partitions(table: TwistedTable, n: int) -> HodgePolynomial:
@@ -420,20 +483,29 @@ def nested_via_strata(
     """
     _require_powers(table_l, n, "nested_via_strata")
     _require_powers(table_llp, n, "nested_via_strata (residual bundle)")
-    sym_tables = _sym_tables(table_l, n)
-    acc: dict[tuple[int, int], int] = {}
+    residuals = [table_llp.diamond(j).bigraded() for j in range(n + 1)]
+    totals = _hilb_totals(table_l, n)
+    # a marked stratum of layer m is a residual times a stratum of layer m - j
+    nested_totals = [
+        sum(totals[m - j] * sum(residuals[j].values()) for j in range(m + 1))
+        for m in range(n + 1)
+    ]
+    width = 2 * n + 3
+    slot = _slot_bits(max(totals + nested_totals))
+    sym_tables = _sym_tables(table_l, n, width, slot)
+    acc = 0
     for lam, j in nested_index_set(n):
         mults = list(lam.mults)
-        if j == 0:
-            shift = n - lam.length
-            residual = table_llp.diamond(0)
-        else:
-            shift = n - lam.length + 1
+        shift = n - lam.length
+        if j:
+            shift += 1
             mults[j - 1] -= 1
-            residual = table_llp.diamond(j)
-        product = _stratum_product(residual.bigraded(), mults, sym_tables)
-        _add_shifted(acc, product, shift)
-    return HodgePolynomial(acc, 2 * n + 2)
+        product = _pack(residuals[j], width, slot)
+        for k, a in enumerate(mults, start=1):
+            if a:
+                product *= sym_tables[k][a]
+        acc += product << shift * (width + 1) * slot
+    return HodgePolynomial(_unpack(acc, width, slot), 2 * n + 2)
 
 
 # -- chi_y genera along three routes ---------------------------------------
@@ -619,8 +691,7 @@ def _sym_graded(triple: tuple[int, int, int], m: int) -> GradedDims:
     odd, the others even.  Sym^0 is one dimension in degree 0.
     """
     dims = {(0, j): v for j, v in enumerate(triple) if v}
-    poly = super_sym_series(dims, m).coefficient_of_t(m)
-    return {ey: int(v) for (_, ey), v in poly.items()}
+    return {ey: v for (_, ey), v in _sym_terms(dims, m)[m].items()}
 
 
 def sn_invariant_tangent(din: DeformationInput, n: int) -> GradedDims:

@@ -34,7 +34,7 @@ from hilbhodge.engine import (
     tangent_dims_from_series,
 )
 from hilbhodge.oracles import super_sym_multiset
-from hilbhodge.partitions import partitions
+from hilbhodge.partitions import nested_index_set, partitions
 from hilbhodge.series import TriSeries
 from hilbhodge.surfaces import PRESET_NAMES, SurfaceDiamond, TwistedTable, preset
 
@@ -329,6 +329,109 @@ def test_nested_strata_match_product_route_on_random_tables(case):
     n, table_l, table_lp = case
     assert nested_via_strata(table_l, table_lp, n) == nested_coefficient(
         table_l, table_lp, n
+    )
+
+
+def _sym_by_series(dims, a):
+    """Sym^a of a bigraded super space through the TriSeries kernel.
+
+    The shape super_sym_series had before the packed binomial tables:
+    one (1 -+ x^p y^q t)^{-+v} factor per bidegree, by int_pow/invert.
+    """
+    result = TriSeries.one(a)
+    for (p, q), v in sorted(dims.items()):
+        sign = -1 if (p + q) % 2 else 1
+        base = TriSeries({(0, 0, 0): 1, (p, q, 1): -sign}, a)
+        result = result * base.int_pow(-sign * v)
+    return dict(result.coefficient_of_t(a).items())
+
+
+def _nested_per_marked_partition(table_l, table_llp, n):
+    """The nested strata route as one dict fold per (partition, marked part).
+
+    The shape nested_via_strata had before packing: the residual diamond
+    times the Sym^{a_k} tables (one copy of the marked part j dropped),
+    shifted by n - len, plus one when a part is marked.
+    """
+    acc = {}
+    for lam, j in nested_index_set(n):
+        mults = list(lam.mults)
+        shift = n - lam.length
+        if j:
+            shift += 1
+            mults[j - 1] -= 1
+        product = table_llp.diamond(j).bigraded()
+        for k, a in enumerate(mults, start=1):
+            if not a:
+                continue
+            folded = {}
+            for (p1, q1), u in product.items():
+                for (p2, q2), v in _sym_by_series(table_l.diamond(k).bigraded(), a).items():
+                    key = (p1 + p2, q1 + q2)
+                    folded[key] = folded.get(key, 0) + u * v
+            product = folded
+        for (p, q), value in product.items():
+            key = (p + shift, q + shift)
+            acc[key] = acc.get(key, 0) + value
+    return HodgePolynomial(acc, 2 * n + 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(st.just(n), twisted_tables(n), twisted_tables(n))
+    )
+)
+def test_nested_strata_match_per_marked_partition_fold(case):
+    n, table_l, table_lp = case
+    assert nested_via_strata(table_l, table_lp, n) == _nested_per_marked_partition(
+        table_l, table_lp, n
+    )
+
+
+bidegree_dims = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 10**6), max_size=5
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(bidegree_dims, st.integers(0, 5))
+def test_binomial_sym_tables_match_series_kernel(dims, a):
+    series = super_sym_series(dims, a)
+    for b in range(a + 1):
+        assert dict(series.coefficient_of_t(b).items()) == _sym_by_series(dims, b)
+
+
+def _huge_table(rng, max_power):
+    """Entries around 10^9: at t^5 coefficients reach 157 bits, slots 168."""
+    return TwistedTable(
+        [
+            SurfaceDiamond(
+                [[rng.randint(10**9, 2 * 10**9) for _ in range(3)] for _ in range(3)]
+            )
+            for _ in range(max_power + 1)
+        ]
+    )
+
+
+def test_strata_slot_width_follows_coefficient_size():
+    rng = Random(18)
+    table = _huge_table(rng, 5)
+    series = hilb_series(table, 5)
+    layers = hilb_strata(table, 5)
+    assert max(v for _, v in series.sorted_terms()).bit_length() > 64
+    assert layers == [
+        HodgePolynomial.from_bipolynomial(series.coefficient_of_t(n), 2 * n)
+        for n in range(6)
+    ]
+    table_lp = _huge_table(rng, 3)
+    for n in range(4):
+        assert nested_via_strata(table, table_lp, n) == nested_coefficient(
+            table, table_lp, n
+        ), n
+    diamond = table.diamond(1)
+    assert dict(sym_power_twisted_hodge(diamond, 4).items()) == _sym_by_series(
+        diamond.bigraded(), 4
     )
 
 
