@@ -43,7 +43,6 @@ from .partitions import (
     partitions,
 )
 from .series import (
-    BiPolynomial,
     TriSeries,
     euler_product,
 )

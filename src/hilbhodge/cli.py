@@ -11,6 +11,11 @@ Subcommands::
     deform  tangent/obstruction dimensions h^q(Hilb^n S, T)
     verify  self-validation: every two-path identity on the given data
 
+A failing ``verify`` check prints ``FAIL (reason)``; when the two sides
+of product-vs-partition, hochschild-two-path or nested-two-path differ,
+the reason names the first differing entry, the Euler-product side
+first: ``paths disagree at n=2, (p, q)=(2, 2): 232 != 233`` (``i=...``
+for a Hochschild degree).
 A ``verify`` check whose input the dataset does not carry reports
 ``SKIP (reason)`` and the other checks still run; among the reasons are a
 missing deformation block, a twisted table where a check needs the trivial
@@ -170,12 +175,7 @@ def _cmd_hilb(args: argparse.Namespace) -> int:
             "N": args.N,
             "coefficients": [
                 json.loads(
-                    render_json(
-                        HodgePolynomial.from_bipolynomial(
-                            series.coefficient_of_t(n), 2 * n
-                        ),
-                        n,
-                    )
+                    render_json(HodgePolynomial(series.coefficient_of_t(n), 2 * n), n)
                 )
                 for n in range(args.N + 1)
             ],
@@ -183,7 +183,7 @@ def _cmd_hilb(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         for n in range(args.N + 1):
-            poly = HodgePolynomial.from_bipolynomial(series.coefficient_of_t(n), 2 * n)
+            poly = HodgePolynomial(series.coefficient_of_t(n), 2 * n)
             print(f"t^{n}:")
             print(_render(poly, n, fmt))
     return 0
@@ -241,8 +241,8 @@ def _cmd_betti(args: argparse.Namespace) -> int:
     series = engine.betti_series(ds.betti, args.N)
     rows = []
     for n in range(args.N + 1):
-        poly = series.coefficient_of_t(n)
-        b = [int(poly.coefficient(i, 0)) for i in range(4 * n + 1)]
+        layer = series.coefficient_of_t(n)
+        b = [int(layer.get((i, 0), 0)) for i in range(4 * n + 1)]
         rows.append({"t": n, "b": b})
     if (args.format or "json") == "json":
         print(json.dumps({"N": args.N, "coefficients": rows}, indent=2))
@@ -296,6 +296,15 @@ class _CheckSkipped(Exception):
     pass
 
 
+def _disagreement(n: int, name: str, got: dict, want: dict) -> _CheckFailed:
+    """The failure naming the first entry where two layers differ."""
+    key = min(k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0))
+    return _CheckFailed(
+        f"paths disagree at n={n}, {name}={key}: "
+        f"{got.get(key, 0)} != {want.get(key, 0)}"
+    )
+
+
 def _omega_trivial_applicable(ds: SurfaceDataset) -> bool:
     # the table must be a trivial-bundle table and the deformation block
     # must claim a trivial canonical bundle (h^*(w2 T) = h^{0,*})
@@ -309,14 +318,13 @@ def _verify_checks(ds: SurfaceDataset, N: int):
     # the one product-route series: every check on the main Hodge series reads it
     series = engine.hilb_series(table, N)
     layers = [
-        HodgePolynomial.from_bipolynomial(series.coefficient_of_t(n), 2 * n)
-        for n in range(N + 1)
+        HodgePolynomial(series.coefficient_of_t(n), 2 * n) for n in range(N + 1)
     ]
 
     def product_vs_partition() -> None:
         for n, (got, want) in enumerate(zip(layers, engine.hilb_strata(table, N))):
             if got != want:
-                raise _CheckFailed(f"paths disagree at n={n}")
+                raise _disagreement(n, "(p, q)", dict(got.items()), dict(want.items()))
 
     def chi_y_three_way() -> None:
         by_product = engine.chi_y_product(table, N)
@@ -338,8 +346,9 @@ def _verify_checks(ds: SurfaceDataset, N: int):
     def hochschild_two_path() -> None:
         rhs = engine.hh_rhs_series(table, N)
         for n, poly in enumerate(layers):
-            if poly.collapse_hodge_degree() != engine.hh_from_rhs(rhs, n):
-                raise _CheckFailed(f"paths disagree at n={n}")
+            got, want = poly.collapse_hodge_degree(), engine.hh_from_rhs(rhs, n)
+            if got != want:
+                raise _disagreement(n, "i", got, want)
 
     def nested_two_path() -> None:
         llp = ds.nested_or_main()
@@ -353,12 +362,10 @@ def _verify_checks(ds: SurfaceDataset, N: int):
             )
         nested = engine.nested_series(table, llp, depth)
         for n in range(depth + 1):
-            got = HodgePolynomial.from_bipolynomial(
-                nested.coefficient_of_t(n), 2 * n + 2
-            )
+            got = HodgePolynomial(nested.coefficient_of_t(n), 2 * n + 2)
             want = engine.nested_via_strata(table, llp, n)
             if got != want:
-                raise _CheckFailed(f"paths disagree at n={n}")
+                raise _disagreement(n, "(p, q)", dict(got.items()), dict(want.items()))
 
     def deformation_closed() -> None:
         if ds.deformation is None:

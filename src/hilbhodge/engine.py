@@ -14,10 +14,15 @@ The two routes must agree exactly; ``verify``-style callers and the test
 suite exercise that agreement on arbitrary tables.
 
 Routes of each ``verify`` identity and the kernel on each side.  *Euler*
-is :func:`~hilbhodge.series.euler_product` over factors built with
-``int_pow``/``invert``; *strata* is packed ints, binomial Sym tables, no
-TriSeries: every bivariate polynomial is one nonnegative int (Kronecker
-substitution), each Sym^a table of the k-th diamond is a product of the
+is the one super-symmetric product builder ``_super_product``: it takes
+the generators (e_x, e_y, parity, multiplicity) of each level k, builds
+the factors (1 -+ x^e_x y^e_y t^k)^(-+h) with ``int_pow``/``invert`` and
+multiplies them with :func:`~hilbhodge.series.euler_product`;
+:func:`hilb_series`, :func:`chi_y_product`, :func:`betti_series` and
+:func:`hh_rhs_series` are four calls to it with their own generators.
+*strata* is packed ints, binomial Sym tables, no TriSeries: every
+bivariate polynomial is one nonnegative int (Kronecker substitution),
+each Sym^a table of the k-th diamond is a product of the
 closed-form binomial series C(h+j-1, j) of an even generator and C(h, j)
 of an odd one, and a stratum's product is one int multiply: for the main
 series in one depth-first pass over the partitions of every n <= N
@@ -49,9 +54,11 @@ oracle-suite              TriSeries.__mul__,             naive_mul,
                           sym_power_twisted_hodge        super_sym_multiset
 ========================= ============================== =============================
 
-frolicher and hochschild-two-path run the Euler kernel on both sides
-(``hilb_series`` against another Euler product); product-vs-partition
-covers that kernel against the strata.  oracle-suite covers the Sym
+frolicher and hochschild-two-path run the Euler builder on both sides
+(``hilb_series`` against ``betti_series`` or ``hh_rhs_series``, other
+generators through the same builder); product-vs-partition covers the
+builder against the strata, and chi-y-three-way covers it against exp
+(``chi_y_product`` against ``chi_y_exp``).  oracle-suite covers the Sym
 tables, which the strata side shares, against brute-force multiset
 enumeration.  No identity compares the shared series with itself.
 """
@@ -60,13 +67,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .partitions import nested_index_set
-from .series import BiPolynomial, TriSeries, _format_terms, euler_product
+from .series import TriSeries, _format_terms, euler_product
 from .surfaces import DeformationInput, SurfaceDiamond, TwistedTable
 
 GradedDims = dict[int, int]
+# (e_x, e_y, odd, h): h generators of bidegree (e_x, e_y); odd is 1 or 0
+SuperGenerator = tuple[int, int, int, int]
 
 __all__ = [
     "EngineError",
@@ -162,10 +171,6 @@ class HodgePolynomial:
             clean[(p, q)] = value
         self._terms = clean
         self.space_dim = space_dim
-
-    @classmethod
-    def from_bipolynomial(cls, poly: BiPolynomial, space_dim: int) -> "HodgePolynomial":
-        return cls(dict(poly.items()), space_dim)
 
     def entry(self, p: int, q: int) -> int:
         return self._terms.get((p, q), 0)
@@ -335,35 +340,56 @@ def sym_power_twisted_hodge(diamond: SurfaceDiamond, a: int) -> HodgePolynomial:
     return HodgePolynomial(_sym_terms(diamond.bigraded(), a)[a], 2 * a)
 
 
+# -- the super-symmetric Euler product ---------------------------------------
+
+
+def _super_product(
+    level: Callable[[int], Iterable[SuperGenerator]], trunc_t: int
+) -> TriSeries:
+    """The super-symmetric Euler product of the generators ``level(k)``, k >= 1.
+
+    A generator ``(ex, ey, odd, h)`` of level k stands for h copies of
+    x^ex y^ey t^k and contributes (1 - s x^ex y^ey t^k)^(-s h), s = -1
+    when it is odd and +1 when it is even: Sym of an even space, the
+    exterior algebra of an odd one.  Generators with h = 0 are skipped.
+    """
+
+    def factor(k: int) -> TriSeries:
+        f = TriSeries.one(trunc_t)
+        for ex, ey, odd, h in level(k):
+            if not h:
+                continue
+            sign = -1 if odd else 1
+            base = TriSeries({(0, 0, 0): 1, (ex, ey, k): -sign}, trunc_t)
+            f = f * base.int_pow(-sign * h)
+        return f
+
+    return euler_product(factor, trunc_t)
+
+
 # -- the main Euler product and its partition-sum twin ---------------------
-
-
-def _hilb_factor(diamond: SurfaceDiamond, k: int, trunc_t: int) -> TriSeries:
-    """Level-k factor: generators shifted to (p+k-1, q+k-1) at t^k."""
-    factor = TriSeries.one(trunc_t)
-    for (p, q), h in sorted(diamond.bigraded().items()):
-        sign = -1 if (p + q) % 2 else 1
-        base = TriSeries({(0, 0, 0): 1, (p + k - 1, q + k - 1, k): -sign}, trunc_t)
-        factor = factor * base.int_pow(-sign * h)
-    return factor
 
 
 def hilb_series(table: TwistedTable, trunc_t: int) -> TriSeries:
     """Three-variable series of twisted Hodge numbers of all Hilb^n S, n <= N.
 
-    The coefficient of x^p y^q t^n is h^{p,q}(Hilb^n S, L_n).  Every term
-    satisfies e_x <= 2 e_t and e_y <= 2 e_t because each factor does.
+    The coefficient of x^p y^q t^n is h^{p,q}(Hilb^n S, L_n).  The level-k
+    generators are the k-th diamond shifted to (p+k-1, q+k-1), so every
+    term satisfies e_x <= 2 e_t and e_y <= 2 e_t.
     """
     _require_powers(table, trunc_t, "hilb_series")
-    return euler_product(
-        lambda k: _hilb_factor(table.diamond(k), k, trunc_t), trunc_t
+    return _super_product(
+        lambda k: (
+            (p + k - 1, q + k - 1, (p + q) % 2, h)
+            for (p, q), h in sorted(table.diamond(k).bigraded().items())
+        ),
+        trunc_t,
     )
 
 
 def hilb_coefficient(table: TwistedTable, n: int) -> HodgePolynomial:
     """Twisted Hodge numbers of Hilb^n S via the product route."""
-    poly = hilb_series(table, n).coefficient_of_t(n)
-    return HodgePolynomial.from_bipolynomial(poly, 2 * n)
+    return HodgePolynomial(hilb_series(table, n).coefficient_of_t(n), 2 * n)
 
 
 def _sym_tables(table: TwistedTable, n: int, width: int, slot: int) -> list[list[int]]:
@@ -466,8 +492,9 @@ def nested_coefficient(
     table_l: TwistedTable, table_llp: TwistedTable, n: int
 ) -> HodgePolynomial:
     """Twisted Hodge numbers of Hilb^{n, n+1} S via the product route."""
-    poly = nested_series(table_l, table_llp, n).coefficient_of_t(n)
-    return HodgePolynomial.from_bipolynomial(poly, 2 * n + 2)
+    return HodgePolynomial(
+        nested_series(table_l, table_llp, n).coefficient_of_t(n), 2 * n + 2
+    )
 
 
 def nested_via_strata(
@@ -518,19 +545,13 @@ def chi_y_product(table: TwistedTable, trunc_t: int) -> TriSeries:
     for p = 0, 1, 2, with chi the alternating q-sum of the k-th diamond.
     """
     _require_powers(table, trunc_t, "chi_y_product")
-
-    def factor(k: int) -> TriSeries:
-        f = TriSeries.one(trunc_t)
-        d = table.diamond(k)
-        for p in range(3):
-            chi = d.chi_column(p)
-            if not chi:
-                continue
-            base = TriSeries({(0, 0, 0): 1, (0, p + k - 1, k): -1}, trunc_t)
-            f = f * base.int_pow(-((-1) ** p) * chi)
-        return f
-
-    return euler_product(factor, trunc_t)
+    return _super_product(
+        lambda k: (
+            (0, p + k - 1, 0, (-1) ** p * table.diamond(k).chi_column(p))
+            for p in range(3)
+        ),
+        trunc_t,
+    )
 
 
 def chi_y_exp(table: TwistedTable, trunc_t: int) -> TriSeries:
@@ -591,18 +612,9 @@ def betti_series(betti: Iterable[int], trunc_t: int) -> TriSeries:
     b = tuple(betti)
     if len(b) != 5 or any(v < 0 for v in b):
         raise ValueError("betti numbers must be five nonnegative ints")
-
-    def factor(k: int) -> TriSeries:
-        f = TriSeries.one(trunc_t)
-        for i, bi in enumerate(b):
-            if not bi:
-                continue
-            sign = -1 if i % 2 else 1
-            base = TriSeries({(0, 0, 0): 1, (i + 2 * k - 2, 0, k): -sign}, trunc_t)
-            f = f * base.int_pow(-sign * bi)
-        return f
-
-    return euler_product(factor, trunc_t)
+    return _super_product(
+        lambda k: ((i + 2 * k - 2, 0, i % 2, bi) for i, bi in enumerate(b)), trunc_t
+    )
 
 
 def frolicher_check(table: TwistedTable, betti: Iterable[int], trunc_t: int) -> None:
@@ -625,15 +637,9 @@ def frolicher_check_series(series: TriSeries, betti: Iterable[int]) -> None:
     for n in range(trunc_t + 1):
         got = collapsed.coefficient_of_t(n)
         want = target.coefficient_of_t(n)
-        degrees = sorted(
-            {ex for (ex, _ey), _ in got.items()}
-            | {ex for (ex, _ey), _ in want.items()}
-        )
-        for i in degrees:
-            if got.coefficient(i, 0) != want.coefficient(i, 0):
-                raise MismatchReport(
-                    n, i, got.coefficient(i, 0), want.coefficient(i, 0)
-                )
+        for i in sorted({ex for ex, _ey in got} | {ex for ex, _ey in want}):
+            if got.get((i, 0), 0) != want.get((i, 0), 0):
+                raise MismatchReport(n, i, got.get((i, 0), 0), want.get((i, 0), 0))
     raise AssertionError("series differ but no mismatching coefficient found")
 
 
@@ -659,16 +665,13 @@ def hh_rhs_series(table: TwistedTable, trunc_t: int) -> TriSeries:
     the even offset.
     """
     _require_powers(table, trunc_t, "hh_rhs_series")
-
-    def factor(k: int) -> TriSeries:
-        f = TriSeries.one(trunc_t)
-        for (p, q), h in sorted(table.diamond(k).bigraded().items()):
-            sign = -1 if (p + q) % 2 else 1
-            base = TriSeries({(0, 0, 0): 1, (0, q - p + 2 * k, k): -sign}, trunc_t)
-            f = f * base.int_pow(-sign * h)
-        return f
-
-    return euler_product(factor, trunc_t)
+    return _super_product(
+        lambda k: (
+            (0, q - p + 2 * k, (p + q) % 2, h)
+            for (p, q), h in sorted(table.diamond(k).bigraded().items())
+        ),
+        trunc_t,
+    )
 
 
 def hh_from_rhs(series: TriSeries, n: int) -> GradedDims:

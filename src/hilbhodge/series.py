@@ -4,8 +4,10 @@ Every generating function in this package lives in the truncated ring
 ``Q[x, y][[t]] / (t^(N+1))``: a sparse map from exponent triples
 ``(e_x, e_y, e_t)`` to exact coefficients, cut off t-adically at a fixed
 order ``trunc_t = N``.  Coefficients are Python ints, with
-:class:`fractions.Fraction` entering only through ``exp``/``log`` and
-inversion by a non-unit constant; floats are rejected outright.
+:class:`fractions.Fraction` entering only through ``exp`` and inversion
+by a non-unit constant; floats are rejected outright.  The layer of one
+power of t, :meth:`TriSeries.coefficient_of_t`, is a plain
+``{(e_x, e_y): coeff}`` dict.
 
 Values are immutable after construction and every operation is a pure
 function, so series can be shared freely across threads and coefficients
@@ -22,7 +24,6 @@ Monomial = tuple[int, int, int]
 
 __all__ = [
     "BadConstantTerm",
-    "BiPolynomial",
     "Coefficient",
     "FactorNotNormalized",
     "Monomial",
@@ -44,7 +45,7 @@ class NonUnitConstantTerm(SeriesError):
 
 
 class BadConstantTerm(SeriesError):
-    """exp/log applied to a series with the wrong constant layer."""
+    """exp applied to a series with a nonzero t^0 layer."""
 
 
 class UnsupportedSubstitution(SeriesError):
@@ -321,23 +322,6 @@ class TriSeries:
             self.trunc_t,
         )
 
-    def log(self) -> "TriSeries":
-        """Logarithm of a series of the form 1 + (t-positive part)."""
-        if self._terms.get((0, 0, 0)) != 1:
-            raise BadConstantTerm("log requires constant term 1")
-        if any(et == 0 and (ex or ey) for (ex, ey, et) in self._terms):
-            raise BadConstantTerm("log requires every non-constant term to have e_t >= 1")
-        u_terms = {k: v for k, v in self._terms.items() if k != (0, 0, 0)}
-        u = TriSeries._make(u_terms, self.trunc_t)
-        if self.trunc_t == 0:
-            return TriSeries.zero(0)
-        # log(1+u) = u (1/1 - u (1/2 - u (1/3 - ...)))
-        result = TriSeries._make({(0, 0, 0): Fraction(1, self.trunc_t)}, self.trunc_t)
-        for j in range(self.trunc_t - 1, 0, -1):
-            const = TriSeries._make({(0, 0, 0): Fraction(1, j)}, self.trunc_t)
-            result = const - u * result
-        return u * result
-
     # -- specialization and extraction -----------------------------------
 
     def substitute(self, assignment: Mapping[str, int | str]) -> "TriSeries":
@@ -396,25 +380,13 @@ class TriSeries:
                 acc.pop(key, None)
         return TriSeries._make(acc, self.trunc_t)
 
-    def coefficient_of_t(self, n: int) -> "BiPolynomial":
-        """The exact (x, y)-polynomial multiplying t^n."""
+    def coefficient_of_t(self, n: int) -> dict[tuple[int, int], Coefficient]:
+        """The exact (x, y)-polynomial multiplying t^n: an (e_x, e_y) -> coeff dict."""
         if n < 0 or n > self.trunc_t:
             raise TruncationExceeded(
                 f"t^{n} is outside the computed range 0..{self.trunc_t}"
             )
-        return BiPolynomial(
-            {(ex, ey): v for (ex, ey, et), v in self._terms.items() if et == n}
-        )
-
-    def truncate(self, n: int) -> "TriSeries":
-        """Forget all terms of t-degree above ``n`` (n <= trunc_t)."""
-        if n > self.trunc_t:
-            raise TruncationExceeded(
-                f"cannot extend truncation {self.trunc_t} to {n}"
-            )
-        return TriSeries._make(
-            {k: v for k, v in self._terms.items() if k[2] <= n}, n
-        )
+        return {(ex, ey): v for (ex, ey, et), v in self._terms.items() if et == n}
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
@@ -448,101 +420,3 @@ def euler_product(factor: Callable[[int], TriSeries], trunc_t: int) -> TriSeries
                 )
         result = result * f
     return result
-
-
-class BiPolynomial:
-    """Finite sparse polynomial in x and y with exact coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], Coefficient]):
-        clean: dict[tuple[int, int], Coefficient] = {}
-        for (ex, ey), value in terms.items():
-            if ex < 0 or ey < 0:
-                raise ValueError(f"negative exponent in {(ex, ey)}")
-            value = _exact(value)
-            if value:
-                clean[(ex, ey)] = value
-        self._terms = clean
-
-    @classmethod
-    def zero(cls) -> "BiPolynomial":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "BiPolynomial":
-        return cls({(0, 0): 1})
-
-    def coefficient(self, ex: int, ey: int) -> Coefficient:
-        return self._terms.get((ex, ey), 0)
-
-    def items(self) -> Iterator[tuple[tuple[int, int], Coefficient]]:
-        return iter(self._terms.items())
-
-    def sorted_terms(self) -> list[tuple[tuple[int, int], Coefficient]]:
-        """Terms ordered by total degree, then x-degree."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0][0]))
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "BiPolynomial") -> "BiPolynomial":
-        acc = dict(self._terms)
-        for key, value in other._terms.items():
-            total = acc.get(key, 0) + value
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        out = BiPolynomial({})
-        out._terms = acc
-        return out
-
-    def __mul__(self, other: "BiPolynomial") -> "BiPolynomial":
-        acc: dict[tuple[int, int], Coefficient] = {}
-        for (ax, ay), av in self._terms.items():
-            for (bx, by), bv in other._terms.items():
-                key = (ax + bx, ay + by)
-                total = acc.get(key, 0) + av * bv
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
-        out = BiPolynomial({})
-        out._terms = acc
-        return out
-
-    def shifted(self, dx: int, dy: int) -> "BiPolynomial":
-        """Multiply by the monomial x^dx y^dy."""
-        return BiPolynomial(
-            {(ex + dx, ey + dy): v for (ex, ey), v in self._terms.items()}
-        )
-
-    def is_integral(self) -> bool:
-        return all(
-            not isinstance(v, Fraction) or v.denominator == 1
-            for v in self._terms.values()
-        )
-
-    def total(self) -> Coefficient:
-        """Sum of all coefficients (evaluation at x = y = 1)."""
-        return sum(self._terms.values())
-
-    def __repr__(self) -> str:
-        return f"BiPolynomial({len(self._terms)} terms)"
-
-    def __str__(self) -> str:
-        return _format_terms(
-            (coeff, [("x", ex), ("y", ey)])
-            for (ex, ey), coeff in self.sorted_terms()
-        )

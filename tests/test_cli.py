@@ -11,8 +11,10 @@ from conftest import run_cli
 
 import hilbhodge
 
+from hilbhodge import engine
 from hilbhodge.cli import polynomial_from_json, render_diamond, render_latex
-from hilbhodge.engine import hilb_coefficient
+from hilbhodge.engine import HodgePolynomial, hilb_coefficient
+from hilbhodge.series import TriSeries
 from hilbhodge.surfaces import PRESET_NAMES, preset, serialize
 
 HOPF_HILB2_DIAMOND = """\
@@ -211,6 +213,55 @@ def test_verify_short_nested_table_skips_only_the_nested_check(tmp_path):
         "deformation-omega-trivial: PASS",
         "oracle-suite: PASS",
         "all checks passed",
+    ]
+
+
+def _bump(poly: HodgePolynomial, p: int, q: int) -> HodgePolynomial:
+    terms = dict(poly.items())
+    terms[p, q] = poly.entry(p, q) + 1
+    return HodgePolynomial(terms, poly.space_dim)
+
+
+def test_verify_failure_names_the_first_differing_entry(monkeypatch):
+    # entries off at n=2 on the second side of each two-path check; the
+    # strata side has two, and the one with the smaller (p, q) is named
+    hilb_strata = engine.hilb_strata
+    hh_rhs_series = engine.hh_rhs_series
+    nested_via_strata = engine.nested_via_strata
+    monkeypatch.setattr(
+        engine,
+        "hilb_strata",
+        lambda table, N: [
+            _bump(_bump(poly, 3, 1), 2, 2) if n == 2 else poly
+            for n, poly in enumerate(hilb_strata(table, N))
+        ],
+    )
+    monkeypatch.setattr(  # HH_0 of Hilb^2 sits at y^(0 + 2n) t^n
+        engine,
+        "hh_rhs_series",
+        lambda table, N: hh_rhs_series(table, N) + TriSeries.monomial(1, 0, 4, 2, N),
+    )
+    monkeypatch.setattr(
+        engine,
+        "nested_via_strata",
+        lambda table_l, table_llp, n: (
+            _bump(nested_via_strata(table_l, table_llp, n), 1, 1)
+            if n == 2
+            else nested_via_strata(table_l, table_llp, n)
+        ),
+    )
+    code, out, err = run_cli("verify", "--preset", "k3", "-N", "4")
+    assert (code, err) == (3, "")
+    assert out.splitlines() == [
+        "product-vs-partition: FAIL (paths disagree at n=2, (p, q)=(2, 2): 232 != 233)",
+        "chi-y-three-way: PASS",
+        "frolicher: PASS",
+        "hochschild-two-path: FAIL (paths disagree at n=2, i=0: 276 != 277)",
+        "nested-two-path: FAIL (paths disagree at n=2, (p, q)=(1, 1): 42 != 43)",
+        "deformation-closed-forms: PASS",
+        "deformation-omega-trivial: PASS",
+        "oracle-suite: PASS",
+        "verification FAILED; first failing check: product-vs-partition",
     ]
 
 
