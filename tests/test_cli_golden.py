@@ -57,8 +57,7 @@ def _commands() -> list[tuple[str, ...]]:
     return out
 
 
-# "<dataset> <argv>": (exit code, sha256 of stdout), recorded before the
-# series builders were merged into one
+# "<dataset> <argv>": (exit code, sha256 of stdout)
 GOLDEN = {
     "hopf hilb -n 3": (0, "afe7fc912add2d62b71119ffca03af3f032bc7e3c471c8d6ffa288f9d62ddd63"),
     "hopf hilb -n 3 --format diamond": (0, "afe7fc912add2d62b71119ffca03af3f032bc7e3c471c8d6ffa288f9d62ddd63"),
