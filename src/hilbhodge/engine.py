@@ -75,7 +75,7 @@ from .surfaces import DeformationInput, SurfaceDiamond, TwistedTable
 
 GradedDims = dict[int, int]
 # (e_x, e_y, odd, h): h generators of bidegree (e_x, e_y); odd is 1 or 0
-SuperGenerator = tuple[int, int, int, int]
+_SuperGenerator = tuple[int, int, int, int]
 
 __all__ = [
     "EngineError",
@@ -344,7 +344,7 @@ def sym_power_twisted_hodge(diamond: SurfaceDiamond, a: int) -> HodgePolynomial:
 
 
 def _super_product(
-    level: Callable[[int], Iterable[SuperGenerator]], trunc_t: int
+    level: Callable[[int], Iterable[_SuperGenerator]], trunc_t: int
 ) -> TriSeries:
     """The super-symmetric Euler product of the generators ``level(k)``, k >= 1.
 
