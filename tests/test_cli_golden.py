@@ -1,7 +1,10 @@
-"""Golden CLI output: every subcommand x format (x --method) at small orders.
+"""Golden CLI output: every subcommand x format (x --method) at small orders,
+and the argparse error and help text of every subcommand.
 
 Each entry pins the sha256 of stdout and the exit code of one command on
 ``hopf``, ``k3`` or an inline twisted dataset with ``nested_diamonds``.
+The argparse pins hold the exact stderr of each argument error (exit 1,
+empty stdout) and the digest of each ``--help`` text.
 A change that is meant to keep the output byte-identical must keep every
 digest; a change that alters output on purpose records new digests.
 """
@@ -221,3 +224,128 @@ def test_cli_output_matches_golden_digests(dataset, dataset_args):
         code, out, _ = run_cli(command, *dataset_args[dataset], *rest)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == GOLDEN[_key(dataset, argv)], _key(dataset, argv)
+
+
+# -- the argparse surface: error text and help, at COLUMNS=80 ------------------
+#
+# Recorded on Python 3.11; argparse's wording is the same on 3.10.
+
+# usage block each parser prints above its error line, by prog
+USAGE = {
+    'hilbhodge': (
+        'usage: hilbhodge [-h] {hilb,sym,nested,chiy,betti,hh,deform,verify} ...\n'
+    ),
+    'hilbhodge hilb': (
+        'usage: hilbhodge hilb [-h]\n'
+        '                      (--preset {bielliptic_ord2,bielliptic_ord3,enriques,hopf,inoue,k3,kodaira_secondary,p2,torus} | --input FILE)\n'
+        '                      (-n N | -N N) [--format {diamond,latex,json,poly}]\n'
+    ),
+    'hilbhodge sym': (
+        'usage: hilbhodge sym [-h]\n'
+        '                     (--preset {bielliptic_ord2,bielliptic_ord3,enriques,hopf,inoue,k3,kodaira_secondary,p2,torus} | --input FILE)\n'
+        '                     -a A [-k K] [--format {diamond,latex,json,poly}]\n'
+    ),
+    'hilbhodge nested': (
+        'usage: hilbhodge nested [-h]\n'
+        '                        (--preset {bielliptic_ord2,bielliptic_ord3,enriques,hopf,inoue,k3,kodaira_secondary,p2,torus} | --input FILE)\n'
+        '                        -n N [--format {diamond,latex,json,poly}]\n'
+    ),
+    'hilbhodge chiy': (
+        'usage: hilbhodge chiy [-h]\n'
+        '                      (--preset {bielliptic_ord2,bielliptic_ord3,enriques,hopf,inoue,k3,kodaira_secondary,p2,torus} | --input FILE)\n'
+        '                      -N N [--method {product,exp,hodge}]\n'
+        '                      [--format {json,poly}]\n'
+    ),
+    'hilbhodge betti': (
+        'usage: hilbhodge betti [-h]\n'
+        '                       (--preset {bielliptic_ord2,bielliptic_ord3,enriques,hopf,inoue,k3,kodaira_secondary,p2,torus} | --input FILE)\n'
+        '                       -N N [--format {json,text}]\n'
+    ),
+    'hilbhodge hh': (
+        'usage: hilbhodge hh [-h]\n'
+        '                    (--preset {bielliptic_ord2,bielliptic_ord3,enriques,hopf,inoue,k3,kodaira_secondary,p2,torus} | --input FILE)\n'
+        '                    -n N [--format {json,text}]\n'
+    ),
+    'hilbhodge deform': (
+        'usage: hilbhodge deform [-h]\n'
+        '                        (--preset {bielliptic_ord2,bielliptic_ord3,enriques,hopf,inoue,k3,kodaira_secondary,p2,torus} | --input FILE)\n'
+        '                        -n N [--qmax QMAX] [--format {json,text}]\n'
+    ),
+    'hilbhodge verify': (
+        'usage: hilbhodge verify [-h]\n'
+        '                        (--preset {bielliptic_ord2,bielliptic_ord3,enriques,hopf,inoue,k3,kodaira_secondary,p2,torus} | --input FILE)\n'
+        '                        -N N\n'
+    ),
+}
+# argv: the error line; stderr is USAGE[prog] followed by this line
+ARG_ERRORS = {
+    '': 'hilbhodge: error: the following arguments are required: command\n',
+    'bogus': "hilbhodge: error: argument command: invalid choice: 'bogus' (choose from 'hilb', 'sym', 'nested', 'chiy', 'betti', 'hh', 'deform', 'verify')\n",
+    'hilb -n 1': 'hilbhodge hilb: error: one of the arguments --preset --input is required\n',
+    'hilb --preset k3': 'hilbhodge hilb: error: one of the arguments -n -N is required\n',
+    'hilb --preset k3 -n 1 --format x': "hilbhodge hilb: error: argument --format: invalid choice: 'x' (choose from 'diamond', 'latex', 'json', 'poly')\n",
+    'hilb --preset k3 -n -1': 'hilbhodge hilb: error: argument -n: must be nonnegative, got -1\n',
+    'sym -a 1': 'hilbhodge sym: error: one of the arguments --preset --input is required\n',
+    'sym --preset k3': 'hilbhodge sym: error: the following arguments are required: -a\n',
+    'sym --preset k3 -a 1 --format x': "hilbhodge sym: error: argument --format: invalid choice: 'x' (choose from 'diamond', 'latex', 'json', 'poly')\n",
+    'sym --preset k3 -a -1': 'hilbhodge sym: error: argument -a: must be nonnegative, got -1\n',
+    'nested -n 1': 'hilbhodge nested: error: one of the arguments --preset --input is required\n',
+    'nested --preset k3': 'hilbhodge nested: error: the following arguments are required: -n\n',
+    'nested --preset k3 -n 1 --format x': "hilbhodge nested: error: argument --format: invalid choice: 'x' (choose from 'diamond', 'latex', 'json', 'poly')\n",
+    'nested --preset k3 -n -1': 'hilbhodge nested: error: argument -n: must be nonnegative, got -1\n',
+    'chiy -N 1': 'hilbhodge chiy: error: one of the arguments --preset --input is required\n',
+    'chiy --preset k3': 'hilbhodge chiy: error: the following arguments are required: -N\n',
+    'chiy --preset k3 -N 1 --format x': "hilbhodge chiy: error: argument --format: invalid choice: 'x' (choose from 'json', 'poly')\n",
+    'chiy --preset k3 -N -1': 'hilbhodge chiy: error: argument -N: must be nonnegative, got -1\n',
+    'betti -N 1': 'hilbhodge betti: error: one of the arguments --preset --input is required\n',
+    'betti --preset k3': 'hilbhodge betti: error: the following arguments are required: -N\n',
+    'betti --preset k3 -N 1 --format x': "hilbhodge betti: error: argument --format: invalid choice: 'x' (choose from 'json', 'text')\n",
+    'betti --preset k3 -N -1': 'hilbhodge betti: error: argument -N: must be nonnegative, got -1\n',
+    'hh -n 1': 'hilbhodge hh: error: one of the arguments --preset --input is required\n',
+    'hh --preset k3': 'hilbhodge hh: error: the following arguments are required: -n\n',
+    'hh --preset k3 -n 1 --format x': "hilbhodge hh: error: argument --format: invalid choice: 'x' (choose from 'json', 'text')\n",
+    'hh --preset k3 -n -1': 'hilbhodge hh: error: argument -n: must be nonnegative, got -1\n',
+    'deform -n 1': 'hilbhodge deform: error: one of the arguments --preset --input is required\n',
+    'deform --preset k3': 'hilbhodge deform: error: the following arguments are required: -n\n',
+    'deform --preset k3 -n 1 --format x': "hilbhodge deform: error: argument --format: invalid choice: 'x' (choose from 'json', 'text')\n",
+    'deform --preset k3 -n -1': 'hilbhodge deform: error: argument -n: must be nonnegative, got -1\n',
+    'verify -N 1': 'hilbhodge verify: error: one of the arguments --preset --input is required\n',
+    'verify --preset k3': 'hilbhodge verify: error: the following arguments are required: -N\n',
+    'verify --preset k3 -N 1 --format x': 'hilbhodge: error: unrecognized arguments: --format x\n',
+    'verify --preset k3 -N -1': 'hilbhodge verify: error: argument -N: must be nonnegative, got -1\n',
+    'hilb --preset k3 -N -1': 'hilbhodge hilb: error: argument -N: must be nonnegative, got -1\n',
+    'sym --preset k3 -a 1 -k -1': 'hilbhodge sym: error: argument -k: must be nonnegative, got -1\n',
+    'deform --preset k3 -n 1 --qmax -1': 'hilbhodge deform: error: argument --qmax: must be nonnegative, got -1\n',
+    'hilb --preset k3 -n 1 -N 1': 'hilbhodge hilb: error: argument -N: not allowed with argument -n\n',
+}
+# argv: sha256 of the --help text on stdout
+HELP = {
+    '--help': '20e3d570318a1597eed15551b7268bcf635f0e6457d23bee013b83ca092fc2a5',
+    'hilb --help': '17e63249b970b692ee2c0be1cf95f10a5e93b527b4fcb249c6a068aa6c1f5464',
+    'sym --help': '116c3d0d380e26387e61cafd2277b277bfec229addc703da50ec46fdfdefbc59',
+    'nested --help': '9c1fb2fc14f2775d1f8517a15fc96ad13d2c27430d304c665e5af319d5c5aa52',
+    'chiy --help': '0a197331d693d357cb44d131538aad1336773a4e75d041701ffafb70cc39ae9d',
+    'betti --help': '73cc00493b1be86938d4fa5825a5c6d7f3a90d22662ca2be569552e8f54d3768',
+    'hh --help': '1d99ff0a4e5d08556e8fcbed0c35cd834baa8d556affedc74dbd5012f907954a',
+    'deform --help': '726a6fab526b06f00f3056c6fc7f89b4a949ff2453219b7df21545f76be6e9f6',
+    'verify --help': '3136f27dbbda7c87e67eef6a553face23156fef4d9720cd5a6e653ac494006b4',
+}
+
+
+@pytest.fixture
+def columns_80(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to it
+
+
+@pytest.mark.parametrize("argv", sorted(ARG_ERRORS))
+def test_argument_errors_match_golden_stderr(argv, columns_80):
+    line = ARG_ERRORS[argv]
+    prog = line.split(": error: ")[0]
+    assert run_cli(*argv.split()) == (1, "", USAGE[prog] + line)
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_matches_golden_digest(argv, columns_80):
+    code, out, err = run_cli(*argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP[argv]
