@@ -7,54 +7,23 @@ Hodge diamonds, refined chi_y genera, Betti numbers, Hochschild homology
 dimensions and deformation-theoretic cohomology dimensions of the
 Hilbert schemes (Douady spaces) Hilb^n S and of the nested spaces
 Hilb^{n,n+1} S.
+
+The package namespace holds the calls of the README's library example,
+their result types and the error types; every other name is imported
+from its submodule (``hilbhodge.engine``, ``hilbhodge.series``,
+``hilbhodge.surfaces``, ``hilbhodge.partitions``, ``hilbhodge.oracles``).
 """
 
 from .engine import (
     EngineError,
-    GradedDims,
     HodgePolynomial,
     InsufficientPowers,
     IntegralityFailure,
-    MismatchReport,
-    betti_series,
-    chi_y_exp,
-    chi_y_from_hodge,
-    chi_y_product,
-    deformation_closed_forms,
-    deformation_dims,
-    frolicher_check,
-    hh_dims,
-    hh_from_rhs,
-    hh_rhs_series,
     hilb_coefficient,
     hilb_series,
     hilb_via_partitions,
-    nested_coefficient,
-    nested_series,
-    nested_via_strata,
-    sn_invariant_tangent,
-    super_sym_series,
-    sym_power_twisted_hodge,
-    tangent_dims_from_series,
 )
-from .partitions import (
-    PartitionMultiplicity,
-    nested_index_set,
-    partitions,
-)
-from .series import (
-    TriSeries,
-    euler_product,
-)
-from .surfaces import (
-    DeformationInput,
-    SurfaceDataset,
-    SurfaceDiamond,
-    TwistedTable,
-    load_dataset,
-    preset,
-    serialize,
-    validate,
-)
+from .series import SeriesError, TriSeries
+from .surfaces import SurfaceDataError, SurfaceDataset, preset
 
 __version__ = "0.1.0"

@@ -33,9 +33,9 @@ kernel alone, behind :func:`super_sym_series`,
 the integer log-derivative recurrence of
 :meth:`~hilbhodge.series.TriSeries.exp`.
 ``verify`` expands ``hilb_series(table, N)`` once; *shared* marks the
-sides that read that one series, through the ``*_series``/``*_layer``
-helpers behind :func:`chi_y_from_hodge`, :func:`frolicher_check` and
-:func:`tangent_dims_from_series`.
+sides that read that one series: its t-layers, its substitution y -> x,
+or its specialisation :func:`chi_y_from_hodge_series` (the helper behind
+:func:`chi_y_from_hodge`).
 
 ========================= ============================== =============================
 identity                  one side                       other side(s)
@@ -51,7 +51,9 @@ deformation-closed-forms  deformation_dims: Sym tables   closed binomial forms
 deformation-omega-trivial deformation_dims: Sym tables   tangent_dims_from_layer
                                                          (shared): Euler
 oracle-suite              TriSeries.__mul__,             naive_mul,
-                          sym_power_twisted_hodge        super_sym_multiset
+                          sym_power_twisted_hodge of     super_sym_multiset
+                          the k=1 diamond capped at 12
+                          generators
 ========================= ============================== =============================
 
 frolicher and hochschild-two-path run the Euler builder on both sides
@@ -60,7 +62,9 @@ generators through the same builder); product-vs-partition covers the
 builder against the strata, and chi-y-three-way covers it against exp
 (``chi_y_product`` against ``chi_y_exp``).  oracle-suite covers the Sym
 tables, which the strata side shares, against brute-force multiset
-enumeration.  No identity compares the shared series with itself.
+enumeration; it keeps every nonzero bidegree of the diamond but at most
+12 generators in all, the size the enumeration accepts.  No identity
+compares the shared series with itself.
 """
 
 from __future__ import annotations
@@ -83,7 +87,6 @@ __all__ = [
     "HodgePolynomial",
     "InsufficientPowers",
     "IntegralityFailure",
-    "MismatchReport",
     "betti_series",
     "chi_y_exp",
     "chi_y_from_hodge",
@@ -91,8 +94,6 @@ __all__ = [
     "chi_y_product",
     "deformation_closed_forms",
     "deformation_dims",
-    "frolicher_check",
-    "frolicher_check_series",
     "hh_dims",
     "hh_from_rhs",
     "hh_rhs_series",
@@ -107,7 +108,6 @@ __all__ = [
     "super_sym_series",
     "sym_power_twisted_hodge",
     "tangent_dims_from_layer",
-    "tangent_dims_from_series",
 ]
 
 
@@ -121,19 +121,6 @@ class InsufficientPowers(EngineError):
 
 class IntegralityFailure(EngineError):
     """An exp-route result failed to collapse to integers (an internal bug)."""
-
-
-class MismatchReport(EngineError):
-    """Two supposedly equal series differ; carries the first failing spot."""
-
-    def __init__(self, n: int, degree: int, got, want):
-        self.n = n
-        self.degree = degree
-        self.got = got
-        self.want = want
-        super().__init__(
-            f"mismatch at t^{n}, degree {degree}: got {got}, expected {want}"
-        )
 
 
 def _require_powers(table: TwistedTable, needed: int, operation: str) -> None:
@@ -205,9 +192,6 @@ class HodgePolynomial:
         for (p, q), value in self._terms.items():
             out[p + q] += value
         return out
-
-    def total(self) -> int:
-        return sum(self._terms.values())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -600,7 +584,7 @@ def chi_y_from_hodge_series(series: TriSeries) -> TriSeries:
     return series.substitute({"x": "-y", "y": -1})
 
 
-# -- Betti numbers and the Frolicher collapse -------------------------------
+# -- Betti numbers ------------------------------------------------------------
 
 
 def betti_series(betti: Iterable[int], trunc_t: int) -> TriSeries:
@@ -615,32 +599,6 @@ def betti_series(betti: Iterable[int], trunc_t: int) -> TriSeries:
     return _super_product(
         lambda k: ((i + 2 * k - 2, 0, i % 2, bi) for i, bi in enumerate(b)), trunc_t
     )
-
-
-def frolicher_check(table: TwistedTable, betti: Iterable[int], trunc_t: int) -> None:
-    """Assert b_i(Hilb^n) = sum_{p+q=i} h^{p,q}(Hilb^n) up to order N.
-
-    ``table`` must be the trivial-bundle table and ``betti`` the surface
-    Betti numbers with b_i(S) = sum_{p+q=i} h^{p,q}(S).  Raises
-    :class:`MismatchReport` at the first failing (n, i).
-    """
-    frolicher_check_series(hilb_series(table, trunc_t), betti)
-
-
-def frolicher_check_series(series: TriSeries, betti: Iterable[int]) -> None:
-    """:func:`frolicher_check` of an already expanded :func:`hilb_series`."""
-    trunc_t = series.trunc_t
-    collapsed = series.substitute({"y": "x"})
-    target = betti_series(betti, trunc_t)
-    if collapsed == target:
-        return
-    for n in range(trunc_t + 1):
-        got = collapsed.coefficient_of_t(n)
-        want = target.coefficient_of_t(n)
-        for i in sorted({ex for ex, _ey in got} | {ex for ex, _ey in want}):
-            if got.get((i, 0), 0) != want.get((i, 0), 0):
-                raise MismatchReport(n, i, got.get((i, 0), 0), want.get((i, 0), 0))
-    raise AssertionError("series differ but no mismatching coefficient found")
 
 
 # -- Hochschild homology -----------------------------------------------------
@@ -770,21 +728,12 @@ def deformation_closed_forms(din: DeformationInput, n: int) -> tuple[int, int, i
     return (h0, h1, h2)
 
 
-def tangent_dims_from_series(
-    table: TwistedTable, n: int, qmax: int = 3
-) -> GradedDims:
-    """Tangent cohomology of Hilb^n S read off the main series.
+def tangent_dims_from_layer(poly: HodgePolynomial, qmax: int = 3) -> GradedDims:
+    """Tangent cohomology of Hilb^n S, n >= 1, read off its Hodge numbers.
 
-    Valid when the table is the trivial-bundle table of a surface with
-    trivial canonical bundle: then h^q(Hilb^n, T) = h^{2n-1, q}(Hilb^n),
+    Valid when ``poly`` comes from the trivial-bundle table of a surface
+    with trivial canonical bundle: then h^q(Hilb^n, T) = h^{2n-1, q}(Hilb^n),
     the column p = 2n - 1 of the ordinary Hodge diamond.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return tangent_dims_from_layer(hilb_coefficient(table, n), qmax)
-
-
-def tangent_dims_from_layer(poly: HodgePolynomial, qmax: int = 3) -> GradedDims:
-    """:func:`tangent_dims_from_series` of the Hodge numbers of Hilb^n, n >= 1."""
     column = poly.space_dim - 1  # p = 2n - 1
     return {q: poly.entry(column, q) for q in range(qmax + 1)}

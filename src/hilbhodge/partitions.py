@@ -31,29 +31,9 @@ class PartitionMultiplicity:
             raise ValueError("trailing multiplicity must be positive")
 
     @property
-    def n(self) -> int:
-        """The partitioned integer, sum of k * a_k."""
-        return sum(k * a for k, a in enumerate(self.mults, start=1))
-
-    @property
     def length(self) -> int:
         """Number of parts, sum of a_k."""
         return sum(self.mults)
-
-    def parts(self) -> tuple[int, ...]:
-        """Parts in weakly decreasing order."""
-        out: list[int] = []
-        for k in range(len(self.mults), 0, -1):
-            out.extend([k] * self.mults[k - 1])
-        return tuple(out)
-
-    def __str__(self) -> str:
-        inner = " ".join(
-            f"{k}^{a}" if a > 1 else str(k)
-            for k, a in enumerate(self.mults, start=1)
-            if a
-        )
-        return f"({inner})"
 
 
 def _part_lists(n: int, max_part: int) -> Iterator[tuple[int, ...]]:

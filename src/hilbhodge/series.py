@@ -138,12 +138,6 @@ class TriSeries:
     def one(cls, trunc_t: int) -> "TriSeries":
         return cls._make({(0, 0, 0): 1}, trunc_t)
 
-    @classmethod
-    def monomial(
-        cls, coeff: Coefficient, ex: int, ey: int, et: int, trunc_t: int
-    ) -> "TriSeries":
-        return cls({(ex, ey, et): coeff}, trunc_t)
-
     def coefficient(self, ex: int, ey: int, et: int) -> Coefficient:
         return self._terms.get((ex, ey, et), 0)
 
@@ -193,14 +187,6 @@ class TriSeries:
             else:
                 acc.pop(key, None)
         return TriSeries._make(acc, trunc)
-
-    def __neg__(self) -> "TriSeries":
-        return TriSeries._make({k: -v for k, v in self._terms.items()}, self.trunc_t)
-
-    def __sub__(self, other: "TriSeries") -> "TriSeries":
-        if not isinstance(other, TriSeries):
-            return NotImplemented
-        return self + (-other)
 
     def _scale(self, scalar: Coefficient) -> "TriSeries":
         scalar = _exact(scalar)

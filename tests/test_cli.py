@@ -11,9 +11,10 @@ from conftest import run_cli
 
 import hilbhodge
 
-from hilbhodge import engine
-from hilbhodge.cli import polynomial_from_json, render_diamond, render_latex
+from hilbhodge import cli, engine
+from hilbhodge.cli import render_diamond, render_latex
 from hilbhodge.engine import HodgePolynomial, hilb_coefficient
+from hilbhodge.oracles import super_sym_multiset
 from hilbhodge.series import TriSeries
 from hilbhodge.surfaces import PRESET_NAMES, preset, serialize
 
@@ -77,10 +78,11 @@ def test_hilb_one_point_is_the_surface():
 def test_json_format_round_trips():
     code, out, _ = run_cli("hilb", "--preset", "hopf", "-n", "2", "--format", "json")
     assert code == 0
-    n, poly = polynomial_from_json(out)
-    assert n == 2
-    assert poly == hilb_coefficient(preset("hopf", max_power=2).table, 2)
     obj = json.loads(out)
+    assert obj["n"] == 2
+    terms = {(t["p"], t["q"]): t["h"] for t in obj["terms"]}
+    poly = HodgePolynomial(terms, obj["space_dim"])
+    assert poly == hilb_coefficient(preset("hopf", max_power=2).table, 2)
     # terms sorted by (p + q, p)
     keys = [(t["p"] + t["q"], t["p"]) for t in obj["terms"]]
     assert keys == sorted(keys)
@@ -226,6 +228,7 @@ def test_verify_failure_names_the_first_differing_entry(monkeypatch):
     # entries off at n=2 on the second side of each two-path check; the
     # strata side has two, and the one with the smaller (p, q) is named
     hilb_strata = engine.hilb_strata
+    betti_series = engine.betti_series
     hh_rhs_series = engine.hh_rhs_series
     nested_via_strata = engine.nested_via_strata
     monkeypatch.setattr(
@@ -236,10 +239,15 @@ def test_verify_failure_names_the_first_differing_entry(monkeypatch):
             for n, poly in enumerate(hilb_strata(table, N))
         ],
     )
+    monkeypatch.setattr(  # b_2 of Hilb^2 sits at x^2 t^2
+        engine,
+        "betti_series",
+        lambda betti, N: betti_series(betti, N) + TriSeries({(2, 0, 2): 1}, N),
+    )
     monkeypatch.setattr(  # HH_0 of Hilb^2 sits at y^(0 + 2n) t^n
         engine,
         "hh_rhs_series",
-        lambda table, N: hh_rhs_series(table, N) + TriSeries.monomial(1, 0, 4, 2, N),
+        lambda table, N: hh_rhs_series(table, N) + TriSeries({(0, 4, 2): 1}, N),
     )
     monkeypatch.setattr(
         engine,
@@ -255,7 +263,7 @@ def test_verify_failure_names_the_first_differing_entry(monkeypatch):
     assert out.splitlines() == [
         "product-vs-partition: FAIL (paths disagree at n=2, (p, q)=(2, 2): 232 != 233)",
         "chi-y-three-way: PASS",
-        "frolicher: PASS",
+        "frolicher: FAIL (paths disagree at n=2, i=2: 23 != 24)",
         "hochschild-two-path: FAIL (paths disagree at n=2, i=0: 276 != 277)",
         "nested-two-path: FAIL (paths disagree at n=2, (p, q)=(1, 1): 42 != 43)",
         "deformation-closed-forms: PASS",
@@ -263,6 +271,27 @@ def test_verify_failure_names_the_first_differing_entry(monkeypatch):
         "oracle-suite: PASS",
         "verification FAILED; first failing check: product-vs-partition",
     ]
+
+
+def test_verify_oracle_suite_runs_on_a_large_diamond(monkeypatch):
+    # the k3 diamond has 24 generators, past the enumeration guard of 12;
+    # the check caps it instead of skipping the symmetric-power oracle
+    seen = []
+
+    def wrong(dims, n):  # right up to Sym^2, one dimension too many in Sym^3
+        seen.append(dict(dims))
+        table = super_sym_multiset(dims, n)
+        return {**table, (0, 0): table.get((0, 0), 0) + 1} if n == 3 else table
+
+    monkeypatch.setattr(cli, "super_sym_multiset", wrong)
+    code, out, err = run_cli("verify", "--preset", "k3", "-N", "4")
+    assert (code, err) == (3, "")
+    assert out.splitlines()[-2:] == [
+        "oracle-suite: FAIL (symmetric-power oracle disagrees at n=3)",
+        "verification FAILED; first failing check: oracle-suite",
+    ]
+    # every nonzero bidegree once, then h^{1,1} = 20 filled up to 12 in all
+    assert seen == [{(0, 0): 1, (0, 2): 1, (1, 1): 8, (2, 0): 1, (2, 2): 1}] * 4
 
 
 _NO_DEFORMATION = "SKIP (dataset carries no deformation block)"

@@ -31,7 +31,7 @@ def test_partition_count_four():
 def test_partition_invariants():
     for n in range(9):
         for lam in partitions(n):
-            assert sum(k * a for k, a in enumerate(lam.mults, start=1)) == n == lam.n
+            assert sum(k * a for k, a in enumerate(lam.mults, start=1)) == n
             assert lam.length == sum(lam.mults)
             if lam.mults:
                 assert lam.mults[-1] > 0
@@ -45,9 +45,8 @@ def test_partitions_unique_and_sorted():
 
 
 def test_partition_parts_round_trip():
-    lam = PartitionMultiplicity((2, 0, 1))
-    assert lam.parts() == (3, 1, 1)
-    assert lam.n == 5
+    lam = PartitionMultiplicity((2, 0, 1))  # 3 + 1 + 1
+    assert lam in partitions(5)
     assert lam.length == 3
 
 
