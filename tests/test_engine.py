@@ -495,6 +495,20 @@ def test_frolicher_passes_on_presets():
         assert collapsed == betti_series(ds.betti, 6)
 
 
+def test_frolicher_detects_corrupted_betti():
+    ds = preset("hopf", max_power=4)
+    bad = (1, 2, 0, 1, 1)
+    collapsed = hilb_series(ds.table, 4).substitute({"y": "x"})
+    betti = betti_series(bad, 4)
+    differing = [
+        n
+        for n in range(5)
+        if collapsed.coefficient_of_t(n) != betti.coefficient_of_t(n)
+    ]
+    # b_1 of the surface itself is off, so the first disagreement is at n = 1
+    assert differing[0] == 1
+
+
 # -- Hochschild homology --------------------------------------------------------------
 
 
