@@ -8,7 +8,7 @@ line bundle.  Each quantity is computable along two independent routes:
 * a multiplicative route, an Euler product expanded in
   :class:`~hilbhodge.series.TriSeries`;
 * an additive route, a sum over integer partitions of super symmetric
-  powers of the surface table.
+  powers of the surface table, evaluated one part size at a time.
 
 The two routes must agree exactly; ``verify``-style callers and the test
 suite exercise that agreement on arbitrary tables.
@@ -24,11 +24,11 @@ multiplies them with :func:`~hilbhodge.series.euler_product`;
 bivariate polynomial is one nonnegative int (Kronecker substitution),
 each Sym^a table of the k-th diamond is a product of the
 closed-form binomial series C(h+j-1, j) of an even generator and C(h, j)
-of an odd one, and a stratum's product is one int multiply: for the main
-series in one depth-first pass over the partitions of every n <= N
-(:func:`hilb_strata`), for the nested spaces one fold per marked
-partition (:func:`nested_via_strata`); *Sym tables* is the same binomial
-kernel alone, behind :func:`super_sym_series`,
+of an odd one, and a product is one int multiply: for the main series
+one pass per part size k folds every Sym^a table of the k-th diamond
+into the layers of all n <= N (:func:`hilb_strata`), for the nested
+spaces one fold per marked partition (:func:`nested_via_strata`); *Sym
+tables* is the same binomial kernel alone, behind
 :func:`sym_power_twisted_hodge` and :func:`deformation_dims`; *exp* is
 the integer log-derivative recurrence of
 :meth:`~hilbhodge.series.TriSeries.exp`.
@@ -40,7 +40,8 @@ or its specialisation :func:`chi_y_from_hodge_series` (the helper behind
 ========================= ============================== =============================
 identity                  one side                       other side(s)
 ========================= ============================== =============================
-product-vs-partition      hilb_series (shared): Euler    hilb_strata: strata
+product-vs-partition      hilb_series (shared): Euler    hilb_strata: strata,
+                                                         one pass per part size
 chi-y-three-way           chi_y_product: Euler           chi_y_exp: exp;
                                                          chi_y_from_hodge_series
                                                          (shared): Euler
@@ -105,7 +106,6 @@ __all__ = [
     "nested_series",
     "nested_via_strata",
     "sn_invariant_tangent",
-    "super_sym_series",
     "sym_power_twisted_hodge",
     "tangent_dims_from_layer",
 ]
@@ -294,24 +294,6 @@ def _sym_terms(
     return [_unpack(layer, width, slot) for layer in _sym_layers(dims, top, width, slot)]
 
 
-def super_sym_series(
-    dims: Mapping[tuple[int, int], int], trunc_t: int
-) -> TriSeries:
-    """Generating series sum_n Sym^n(V) t^n of a bigraded super space.
-
-    V has v_{p,q} generators in bidegree (p, q); a generator is odd when
-    p + q is odd.  Even generators contribute a factor
-    (1 - x^p y^q t)^-v, odd ones (1 + x^p y^q t)^v, which is the closed
-    form of the boson/fermion counting rule; their coefficients are
-    binomials, multiplied out as packed polynomials.
-    """
-    layers = _sym_terms(dims, trunc_t)
-    return TriSeries(
-        {(p, q, a): v for a, terms in enumerate(layers) for (p, q), v in terms.items()},
-        trunc_t,
-    )
-
-
 def sym_power_twisted_hodge(diamond: SurfaceDiamond, a: int) -> HodgePolynomial:
     """Twisted Hodge numbers of the a-th symmetric power of a surface.
 
@@ -376,28 +358,26 @@ def hilb_coefficient(table: TwistedTable, n: int) -> HodgePolynomial:
     return HodgePolynomial(hilb_series(table, n).coefficient_of_t(n), 2 * n)
 
 
-def _sym_tables(table: TwistedTable, n: int, width: int, slot: int) -> list[list[int]]:
-    """``tables[k][a]`` is the packed Sym^a table of the k-th diamond, k * a <= n."""
-    return [[]] + [
-        _sym_layers(table.diamond(k).bigraded(), n // k, width, slot)
-        for k in range(1, n + 1)
-    ]
+def _strata(table: TwistedTable, n: int, width: int, slot: int) -> list[int]:
+    """Packed stratum sums of every layer m <= n, one pass per part size.
 
-
-def _hilb_totals(table: TwistedTable, n: int) -> list[int]:
-    """The stratum sum of every layer m <= n at x = y = 1.
-
-    The coefficient of t^m in prod_k sum_a dim Sym^a(k-th diamond) t^{ka};
-    it bounds every coefficient of every stratum product of layer m.
+    A partition (1^a1 ... r^ar) of m has diagonal shift
+    m - len = sum_k (k-1) a_k, so its strata sum to the t^m coefficient
+    of prod_k sum_a Sym^a(k-th diamond) (xy)^{(k-1)a} t^{ka}.  Pass k
+    multiplies factor k in: acc[m] += acc[m - ka] Sym^a, shifted by
+    (k-1) a diagonal slots, with m descending so acc[m - ka] lacks part k.
+    With ``width = slot = 0`` each layer is its value at x = y = 1; that
+    bounds every coefficient of every partial product, since all terms are
+    nonnegative and a partial product is a sub-sum of its final layer.
     """
-    totals = [1] + [0] * n
+    diagonal = (width + 1) * slot
+    acc = [1] + [0] * n
     for k in range(1, n + 1):
-        dims = _sym_layers(table.diamond(k).bigraded(), n // k, 0, 0)
-        totals = [
-            sum(totals[m - k * a] * dims[a] for a in range(m // k + 1))
-            for m in range(n + 1)
-        ]
-    return totals
+        row = _sym_layers(table.diamond(k).bigraded(), n // k, width, slot)
+        for m in range(n, k - 1, -1):
+            for a in range(1, m // k + 1):
+                acc[m] += acc[m - k * a] * row[a] << (k - 1) * a * diagonal
+    return acc
 
 
 def hilb_strata(table: TwistedTable, trunc_t: int) -> list[HodgePolynomial]:
@@ -405,37 +385,19 @@ def hilb_strata(table: TwistedTable, trunc_t: int) -> list[HodgePolynomial]:
 
     The stratum of a partition (1^a1 ... r^ar) of n contributes the
     product of the symmetric-power tables Sym^{a_k} of the k-th twisted
-    diamond, shifted by n - len in both p and q.  One depth-first pass
-    walks the partitions of every n <= N, choosing part sizes in
-    ascending order: a partition's product is its parent's times one
-    Sym table, and only the products on the current path stay alive.
-    Every polynomial is packed (layer n lives in [0, 2n]^2, so
-    width = 2N + 1), a product is one int multiply and the shift by
-    (xy)^s is a left shift by s * (width + 1) slots.
+    diamond, shifted by n - len in both p and q.  The sum over partitions
+    is evaluated one part size at a time (:func:`_strata`): once at
+    x = y = 1 for the slot width, then packed (layer n lives in
+    [0, 2n]^2, so width = 2N + 1), where a product is one int multiply and
+    the shift by (xy)^s is a left shift by s * (width + 1) slots.
     Entry n must agree exactly with :func:`hilb_coefficient`.
     """
     _require_powers(table, trunc_t, "hilb_strata")
     width = 2 * trunc_t + 1
-    slot = _slot_bits(max(_hilb_totals(table, trunc_t)))
-    sym_tables = _sym_tables(table, trunc_t, width, slot)
-    diagonal = (width + 1) * slot
-    acc = [1] + [0] * trunc_t
-
-    def extend(smallest: int, n: int, length: int, product: int) -> None:
-        for k in range(smallest, trunc_t - n + 1):
-            row = sym_tables[k]
-            for a in range(1, (trunc_t - n) // k + 1):
-                if not row[a]:  # Sym^a = 0, and so is every higher power
-                    break
-                child = product * row[a]
-                m = n + k * a
-                acc[m] += child << (m - length - a) * diagonal
-                extend(k + 1, m, length + a, child)
-
-    extend(1, 0, 0, 1)
+    slot = _slot_bits(max(_strata(table, trunc_t, 0, 0)))
     return [
         HodgePolynomial(_unpack(layer, width, slot), 2 * n)
-        for n, layer in enumerate(acc)
+        for n, layer in enumerate(_strata(table, trunc_t, width, slot))
     ]
 
 
@@ -495,7 +457,7 @@ def nested_via_strata(
     _require_powers(table_l, n, "nested_via_strata")
     _require_powers(table_llp, n, "nested_via_strata (residual bundle)")
     residuals = [table_llp.diamond(j).bigraded() for j in range(n + 1)]
-    totals = _hilb_totals(table_l, n)
+    totals = _strata(table_l, n, 0, 0)
     # a marked stratum of layer m is a residual times a stratum of layer m - j
     nested_totals = [
         sum(totals[m - j] * sum(residuals[j].values()) for j in range(m + 1))
@@ -503,7 +465,10 @@ def nested_via_strata(
     ]
     width = 2 * n + 3
     slot = _slot_bits(max(totals + nested_totals))
-    sym_tables = _sym_tables(table_l, n, width, slot)
+    sym_tables = [[]] + [
+        _sym_layers(table_l.diamond(k).bigraded(), n // k, width, slot)
+        for k in range(1, n + 1)
+    ]
     acc = 0
     for lam, j in nested_index_set(n):
         mults = list(lam.mults)

@@ -277,6 +277,8 @@ def load_dataset(source: str | Path) -> SurfaceDataset:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("not valid JSON: nesting too deep") from exc
     if not isinstance(obj, dict):
         raise SchemaError("dataset must be a JSON object")
 

@@ -22,13 +22,12 @@ from hilbhodge.engine import (
     hilb_via_partitions,
     nested_series,
     nested_via_strata,
-    super_sym_series,
     sym_power_twisted_hodge,
     tangent_dims_from_layer,
 )
 from hilbhodge.oracles import naive_mul, super_sym_multiset
 from hilbhodge.series import TriSeries, euler_product
-from hilbhodge.surfaces import PRESET_NAMES, preset
+from hilbhodge.surfaces import PRESET_NAMES, SurfaceDiamond, preset
 
 HILB2_ROWS = [
     [1],
@@ -195,8 +194,11 @@ def test_criterion_09_oracle_suites():
             if not budget:
                 break
         n = rng.randint(0, 6)
-        series_route = super_sym_series(dims, n).coefficient_of_t(n)
-        assert dict(series_route.items()) == super_sym_multiset(dims, n), trial
+        diamond = SurfaceDiamond(
+            [[dims.get((p, q), 0) for q in range(3)] for p in range(3)]
+        )
+        binomial_route = sym_power_twisted_hodge(diamond, n)
+        assert dict(binomial_route.items()) == super_sym_multiset(dims, n), trial
 
     def random_series() -> TriSeries:
         terms = {

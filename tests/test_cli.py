@@ -355,6 +355,11 @@ def test_parse_error_exits_1(tmp_path):
     code, _, err = run_cli("hilb", "--input", str(path), "-n", "1")
     assert code == 1
     assert "error" in err
+    deep = tmp_path / "deep.json"
+    nested = "[" * 200_000 + "]" * 200_000
+    deep.write_text('{"name": "x", "max_power": 0, "diamonds": ' + nested + "}")
+    code, out, err = run_cli("hilb", "--input", str(deep), "-n", "1")
+    assert (code, out, err) == (1, "", "error: not valid JSON: nesting too deep\n")
 
 
 def test_validation_error_exits_1(tmp_path):

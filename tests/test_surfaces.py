@@ -98,6 +98,10 @@ def test_load_dataset_from_file(tmp_path):
 def test_load_rejects_garbage():
     with pytest.raises(ParseError):
         load_dataset("{not json")
+    nested = "[" * 200_000 + "]" * 200_000
+    deep = '{"name": "x", "max_power": 0, "diamonds": ' + nested + "}"
+    with pytest.raises(ParseError, match="nesting too deep"):
+        load_dataset(deep)
 
 
 def test_load_rejects_empty_table():
