@@ -34,10 +34,11 @@ code are those of the same dataset without the flag.
 ``build_parser`` declares every subcommand in one table: its dataset
 flags, order flags, further options, and ``--format`` choices and default.
 
-Exit codes: 0 success, 1 parse/validation errors, 2 insufficient twisted
-powers in the table, 3 a verify check failed, 141 the reader closed stdout
-before the output ended (128 + SIGPIPE, as a shell reports for a process
-that a closed pipe stopped); nothing is printed to stderr then.
+Exit codes: 0 success, 1 parse/validation errors (a missing or unreadable
+``--input`` file is one, and the message names the flag), 2 insufficient
+twisted powers in the table, 3 a verify check failed, 141 the reader closed
+stdout before the output ended (128 + SIGPIPE, as a shell reports for a
+process that a closed pipe stopped); nothing is printed to stderr then.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
+from collections.abc import Callable
 
 from . import engine
 from .engine import EngineError, HodgePolynomial, InsufficientPowers
@@ -142,7 +143,10 @@ def _series_yt_payload(series: TriSeries, trunc: int) -> list[dict]:
 def _dataset(args: argparse.Namespace, needed_power: int) -> SurfaceDataset:
     if args.preset:
         return preset(args.preset, max_power=max(needed_power, 0))
-    ds = load_dataset(args.input)
+    try:
+        ds = load_dataset(args.input)
+    except OSError as exc:
+        raise SurfaceDataError(f"--input {args.input}: {exc.strerror}") from None
     for warning in validate(ds):
         print(f"warning: {warning}", file=sys.stderr)
     return ds

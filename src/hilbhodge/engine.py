@@ -70,12 +70,12 @@ compares the shared series with itself.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Mapping
 
 from .partitions import nested_index_set
-from .series import TriSeries, _format_terms, euler_product
+from .series import TriSeries, _exact, _format_terms, euler_product
 from .surfaces import DeformationInput, SurfaceDiamond, TwistedTable
 
 GradedDims = dict[int, int]
@@ -141,12 +141,11 @@ class HodgePolynomial:
             raise ValueError("space_dim must be nonnegative")
         clean: dict[tuple[int, int], int] = {}
         for (p, q), value in terms.items():
+            value = _exact(value)
             if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise IntegralityFailure(
-                        f"non-integral dimension {value} at (p, q)=({p}, {q})"
-                    )
-                value = value.numerator
+                raise IntegralityFailure(
+                    f"non-integral dimension {value} at (p, q)=({p}, {q})"
+                )
             if value == 0:
                 continue
             if value < 0:

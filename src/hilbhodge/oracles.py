@@ -8,8 +8,8 @@ user data.  Single-threaded, simplicity over speed.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import combinations_with_replacement
-from typing import Mapping
 
 from .series import TriSeries
 

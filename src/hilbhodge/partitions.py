@@ -8,8 +8,8 @@ part-list conversion happens anywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 __all__ = [
     "PartitionMultiplicity",
@@ -18,17 +18,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartitionMultiplicity:
+class PartitionMultiplicity(namedtuple("PartitionMultiplicity", "mults")):
     """A partition encoded by multiplicities: a_k parts equal to k."""
 
-    mults: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(a < 0 for a in self.mults):
+    def __new__(cls, mults: tuple[int, ...]) -> PartitionMultiplicity:
+        if any(a < 0 for a in mults):
             raise ValueError("multiplicities must be nonnegative")
-        if self.mults and self.mults[-1] == 0:
+        if mults and mults[-1] == 0:
             raise ValueError("trailing multiplicity must be positive")
+        return super().__new__(cls, mults)
 
     @property
     def length(self) -> int:

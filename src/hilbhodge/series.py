@@ -5,8 +5,8 @@ Every generating function in this package lives in the truncated ring
 ``(e_x, e_y, e_t)`` to exact coefficients, cut off t-adically at a fixed
 order ``trunc_t = N``.  Coefficients are Python ints, with
 :class:`fractions.Fraction` entering only through ``exp`` and inversion
-by a non-unit constant; floats are rejected outright.  The layer of one
-power of t, :meth:`TriSeries.coefficient_of_t`, is a plain
+by a non-unit constant; floats and bools are rejected outright.  The
+layer of one power of t, :meth:`TriSeries.coefficient_of_t`, is a plain
 ``{(e_x, e_y): coeff}`` dict.
 
 Values are immutable after construction and every operation is a pure
@@ -16,8 +16,8 @@ of independent t-orders can be consumed in parallel.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
 
 Coefficient = int | Fraction
 Monomial = tuple[int, int, int]
@@ -62,7 +62,7 @@ class FactorNotNormalized(SeriesError):
 
 def _exact(value: Coefficient) -> Coefficient:
     """Normalize a coefficient: ints stay ints, integral Fractions collapse."""
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value

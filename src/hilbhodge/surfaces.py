@@ -19,8 +19,8 @@ JSON dataset schema (stable contract, ``diamonds[k][p][q] = h^{p,q}(S, L^k)``)::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from pathlib import Path
+import os
+from collections import namedtuple
 
 __all__ = [
     "DeformationInput",
@@ -171,37 +171,45 @@ class TwistedTable:
         return f"TwistedTable(max_power={self.max_power})"
 
 
-@dataclass(frozen=True)
-class DeformationInput:
+class DeformationInput(namedtuple("DeformationInput", "hT hO hW2 connected")):
     """Cohomology dimensions feeding the deformation-theory formulas.
 
     hT = h^*(S, T_S), hO = h^{0,*}(S), hW2 = h^*(S, wedge^2 T_S), each a
     triple indexed by cohomological degree 0..2.
     """
 
-    hT: tuple[int, int, int]
-    hO: tuple[int, int, int]
-    hW2: tuple[int, int, int]
-    connected: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for label, triple in (("hT", self.hT), ("hO", self.hO), ("hW2", self.hW2)):
+    def __new__(
+        cls,
+        hT: tuple[int, int, int],
+        hO: tuple[int, int, int],
+        hW2: tuple[int, int, int],
+        connected: bool = True,
+    ) -> DeformationInput:
+        for label, triple in (("hT", hT), ("hO", hO), ("hW2", hW2)):
             if len(triple) != 3:
                 raise ValidationError(f"{label} must have three entries")
             for value in triple:
                 if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                     raise ValidationError(f"{label} entries must be nonnegative ints")
+        return super().__new__(cls, hT, hO, hW2, connected)
 
 
-@dataclass(frozen=True)
-class SurfaceDataset:
-    """A named surface-with-line-bundle(s) input."""
+class SurfaceDataset(
+    namedtuple(
+        "SurfaceDataset",
+        "name table nested_table deformation kahler_symmetric",
+        defaults=(None, None, False),
+    )
+):
+    """A named surface-with-line-bundle(s) input.
 
-    name: str
-    table: TwistedTable
-    nested_table: TwistedTable | None = None
-    deformation: DeformationInput | None = None
-    kahler_symmetric: bool = False
+    Fields: name (str), table (TwistedTable), nested_table (TwistedTable or
+    None), deformation (DeformationInput or None), kahler_symmetric (bool).
+    """
+
+    __slots__ = ()
 
     @property
     def betti(self) -> tuple[int, int, int, int, int]:
@@ -266,13 +274,13 @@ def _parse_diamonds(raw, what: str) -> TwistedTable:
     return TwistedTable(diamonds)
 
 
-def load_dataset(source: str | Path) -> SurfaceDataset:
+def load_dataset(source: str | os.PathLike) -> SurfaceDataset:
     """Load a dataset from a JSON file path or from raw JSON text."""
-    if isinstance(source, Path):
-        text = source.read_text()
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        text = source
     else:
-        stripped = source.lstrip()
-        text = source if stripped.startswith("{") else Path(source).read_text()
+        with open(source) as fh:
+            text = fh.read()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

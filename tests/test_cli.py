@@ -371,9 +371,14 @@ def test_validation_error_exits_1(tmp_path):
     assert "nonnegative" in err
 
 
-def test_missing_file_exits_1():
-    code, _, err = run_cli("hilb", "--input", "/does/not/exist.json", "-n", "1")
-    assert code == 1
+def test_missing_file_exits_1(tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli("hilb", "--input", str(missing), "-n", "1")
+    assert (code, out, err) == (
+        1, "", f"error: --input {missing}: No such file or directory\n"
+    )
+    code, out, err = run_cli("hilb", "--input", str(tmp_path), "-n", "1")
+    assert (code, out, err) == (1, "", f"error: --input {tmp_path}: Is a directory\n")
 
 
 def test_bad_arguments_exit_1():
@@ -405,15 +410,20 @@ def test_sym_negative_bundle_power_exits_1():
     assert "argument -k: must be nonnegative, got -1" in err
 
 
-def test_closed_stdout_exits_quietly():
+def _src_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package's source."""
     env = dict(os.environ)
     src = str(Path(hilbhodge.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_closed_stdout_exits_quietly():
     # about 220 kB of output, well beyond a pipe's buffer
     argv = [sys.executable, "-m", "hilbhodge.cli"]
     argv += ["hilb", "--preset", "torus", "-N", "12"]
     with subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env()
     ) as proc:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
@@ -421,3 +431,17 @@ def test_closed_stdout_exits_quietly():
         code = proc.wait(timeout=60)
     assert err == b""
     assert code == 141
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every command is a fresh interpreter, so these imports are paid per
+    # command; pytest has loaded both modules already, hence the subprocess
+    probe = (
+        "import sys, hilbhodge.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=_src_env(), timeout=60, check=True,
+    )
+    assert done.stdout == "\n"

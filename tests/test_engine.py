@@ -1,5 +1,6 @@
 """The closed formulas: symmetric powers, Hilbert series, specializations."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hilbhodge.engine import (
     HodgePolynomial,
     InsufficientPowers,
+    IntegralityFailure,
     _sym_terms,
     betti_series,
     chi_y_exp,
@@ -64,6 +66,16 @@ HOPF_HILB2 = {
     (4, 3): 1,
     (4, 4): 1,
 }
+
+
+def test_hodge_polynomial_rejects_non_int_dimensions():
+    # a bool would render as "True" in str() and as "h": true in JSON
+    for value in (True, False, 1.0):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            HodgePolynomial({(0, 0): value}, 0)
+    with pytest.raises(IntegralityFailure, match="1/2"):
+        HodgePolynomial({(0, 0): Fraction(1, 2)}, 0)
+    assert HodgePolynomial({(0, 0): Fraction(2, 2)}, 0).entry(0, 0) == 1
 
 
 # -- super symmetric powers ----------------------------------------------

@@ -51,10 +51,23 @@ def test_partition_parts_round_trip():
 
 
 def test_partition_rejects_bad_vectors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trailing multiplicity must be positive$"):
         PartitionMultiplicity((1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^multiplicities must be nonnegative$"):
         PartitionMultiplicity((-1, 1))
+
+
+def test_partition_record_contract():
+    lam = PartitionMultiplicity(mults=(2, 0, 1))
+    assert repr(lam) == "PartitionMultiplicity(mults=(2, 0, 1))"
+    assert lam == PartitionMultiplicity((2, 0, 1))
+    assert lam != PartitionMultiplicity((0, 0, 0, 0, 1))
+    assert hash(lam) == hash(PartitionMultiplicity((2, 0, 1)))
+    assert len(set(partitions(5)) | {lam}) == 7
+    with pytest.raises(AttributeError):
+        lam.mults = (5,)
+    with pytest.raises(AttributeError):
+        lam.extra = 1
 
 
 def test_partition_count_matches_euler_product():

@@ -47,6 +47,14 @@ def test_constructor_rejects_floats():
         TriSeries({(0, 0, 0): 1.5}, 2)
 
 
+def test_constructor_rejects_bools():
+    # True is an int subclass; kept, it would print as "True" in str()
+    with pytest.raises(TypeError, match="got bool"):
+        TriSeries({(0, 0, 0): True}, 2)
+    with pytest.raises(TypeError, match="got bool"):
+        ONE * True
+
+
 def test_constructor_rejects_negative_exponents():
     with pytest.raises(ValueError):
         TriSeries({(-1, 0, 0): 1}, 2)

@@ -93,6 +93,7 @@ def test_load_dataset_from_file(tmp_path):
     ds = load_dataset(str(path))
     assert ds.name == "torus"
     assert ds.table.max_power == 2
+    assert load_dataset(path) == ds  # a path object reads the same file
 
 
 def test_load_rejects_garbage():
@@ -171,3 +172,62 @@ def test_deformation_input_validation():
         DeformationInput((1, 2), (1, 0, 0), (0, 0, 0))
     with pytest.raises(ValidationError):
         DeformationInput((1, 2, -3), (1, 0, 0), (0, 0, 0))
+
+
+# -- the record types: construction, equality, hash, repr, read-only fields --
+
+K3_DEFORMATION_REPR = (
+    "DeformationInput(hT=(0, 20, 0), hO=(1, 0, 1), hW2=(1, 0, 1), connected=True)"
+)
+
+
+def test_deformation_input_contract():
+    din = DeformationInput(hT=(0, 20, 0), hO=(1, 0, 1), hW2=(1, 0, 1))
+    assert din.connected is True
+    assert repr(din) == K3_DEFORMATION_REPR
+    assert din == DeformationInput((0, 20, 0), (1, 0, 1), (1, 0, 1), True)
+    assert din == preset("k3").deformation
+    assert hash(din) == hash(preset("k3").deformation)
+    disconnected = DeformationInput((0, 20, 0), (1, 0, 1), (1, 0, 1), connected=False)
+    assert din != disconnected
+    assert len({din, disconnected, preset("k3").deformation}) == 2
+    with pytest.raises(AttributeError):
+        din.hT = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        din.extra = 1
+
+
+def test_deformation_input_validation_messages():
+    with pytest.raises(ValidationError, match="^hO must have three entries$"):
+        DeformationInput((0, 1, 0), (1, 0), (0, 0, 0))
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValidationError, match="^hW2 entries must be nonnegative ints$"):
+            DeformationInput((0, 1, 0), (1, 0, 0), (0, bad, 0))
+
+
+def test_preset_deformation_blocks_stay_read_only():
+    shared = preset("k3").deformation
+    assert preset("k3", max_power=1).deformation is shared
+    with pytest.raises(AttributeError):
+        shared.hT = (0, 0, 0)
+    assert repr(preset("k3").deformation) == K3_DEFORMATION_REPR
+
+
+def test_surface_dataset_contract():
+    table = preset("k3", max_power=1).table
+    ds = SurfaceDataset(name="k3", table=table)
+    assert (ds.nested_table, ds.deformation, ds.kahler_symmetric) == (None, None, False)
+    assert repr(preset("k3", max_power=1)) == (
+        "SurfaceDataset(name='k3', table=TwistedTable(max_power=1), nested_table=None, "
+        f"deformation={K3_DEFORMATION_REPR}, kahler_symmetric=True)"
+    )
+    assert ds == SurfaceDataset("k3", preset("k3", max_power=1).table, None, None, False)
+    assert ds != SurfaceDataset(name="k3", table=table, kahler_symmetric=True)
+    assert preset("k3", max_power=1) == preset("k3", max_power=1)
+    # a table has no hash, so neither has a dataset holding one
+    with pytest.raises(TypeError, match="unhashable type: 'TwistedTable'"):
+        hash(ds)
+    with pytest.raises(AttributeError):
+        ds.name = "other"
+    with pytest.raises(AttributeError):
+        ds.extra = 1
