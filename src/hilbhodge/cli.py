@@ -12,11 +12,13 @@ Subcommands::
     verify  self-validation: every two-path identity on the given data
 
 A failing ``verify`` check prints ``FAIL (reason)``; when the two sides
-of product-vs-partition, frolicher, hochschild-two-path or
-nested-two-path differ, the reason names the first differing entry, the
-Euler-product side first (for frolicher and hochschild-two-path, the side
-read from the main Hodge series): ``paths disagree at n=2, (p, q)=(2, 2):
-232 != 233`` (``i=...`` for a Betti or Hochschild degree).  oracle-suite checks
+of product-vs-partition, chi-y-three-way, frolicher, hochschild-two-path
+or nested-two-path differ, the reason names the first differing entry,
+the Euler-product side first (for frolicher and hochschild-two-path, the
+side read from the main Hodge series; chi-y-three-way compares
+chi_y_product with the exp route, then with the Hodge specialisation):
+``paths disagree at n=2, (p, q)=(2, 2): 232 != 233`` (``i=...`` for a
+Betti or Hochschild degree, ``y=...`` for a chi_y power).  oracle-suite checks
 the symmetric powers of the k=1 diamond against brute-force enumeration
 on a sub-diamond that keeps every nonzero bidegree and at most 12
 generators in all.
@@ -35,10 +37,11 @@ code are those of the same dataset without the flag.
 flags, order flags, further options, and ``--format`` choices and default.
 
 Exit codes: 0 success, 1 parse/validation errors (a missing or unreadable
-``--input`` file is one, and the message names the flag), 2 insufficient
-twisted powers in the table, 3 a verify check failed, 141 the reader closed
-stdout before the output ended (128 + SIGPIPE, as a shell reports for a
-process that a closed pipe stopped); nothing is printed to stderr then.
+``--input`` file is one, as is one that is not UTF-8 text, and the message
+names the flag), 2 insufficient twisted powers in the table, 3 a verify
+check failed, 141 the reader closed stdout before the output ended
+(128 + SIGPIPE, as a shell reports for a process that a closed pipe
+stopped); nothing is printed to stderr then.
 """
 
 from __future__ import annotations
@@ -147,6 +150,11 @@ def _dataset(args: argparse.Namespace, needed_power: int) -> SurfaceDataset:
         ds = load_dataset(args.input)
     except OSError as exc:
         raise SurfaceDataError(f"--input {args.input}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SurfaceDataError(
+            f"--input {args.input}: not valid UTF-8 text "
+            f"({exc.reason} at byte {exc.start})"
+        ) from None
     for warning in validate(ds):
         print(f"warning: {warning}", file=sys.stderr)
     return ds
@@ -316,10 +324,12 @@ def _verify_checks(ds: SurfaceDataset, N: int):
         by_product = engine.chi_y_product(table, N)
         by_exp = engine.chi_y_exp(table, N)
         by_hodge = engine.chi_y_from_hodge_series(series)
-        if by_product != by_exp:
-            raise _CheckFailed("product and exp routes disagree")
-        if by_product != by_hodge:
-            raise _CheckFailed("product and Hodge-specialization routes disagree")
+        for other in (by_exp, by_hodge):
+            for n in range(N + 1):
+                got = {y: c for (_, y), c in by_product.coefficient_of_t(n).items()}
+                want = {y: c for (_, y), c in other.coefficient_of_t(n).items()}
+                if got != want:
+                    raise _disagreement(n, "y", got, want)
 
     def frolicher() -> None:
         if not table.is_constant():

@@ -15,20 +15,21 @@ suite exercise that agreement on arbitrary tables.
 
 Routes of each ``verify`` identity and the kernel on each side.  *Euler*
 is the one super-symmetric product builder ``_super_product``: it takes
-the generators (e_x, e_y, parity, multiplicity) of each level k, builds
-the factors (1 -+ x^e_x y^e_y t^k)^(-+h) with ``int_pow``/``invert`` and
-multiplies them with :func:`~hilbhodge.series.euler_product`;
-:func:`hilb_series`, :func:`chi_y_product`, :func:`betti_series` and
-:func:`hh_rhs_series` are four calls to it with their own generators.
-*strata* is packed ints, binomial Sym tables, no TriSeries: every
-bivariate polynomial is one nonnegative int (Kronecker substitution),
-each Sym^a table of the k-th diamond is a product of the
-closed-form binomial series C(h+j-1, j) of an even generator and C(h, j)
-of an odd one, and a product is one int multiply: for the main series
-one pass per part size k folds every Sym^a table of the k-th diamond
-into the layers of all n <= N (:func:`hilb_strata`), for the nested
-spaces one fold per marked partition (:func:`nested_via_strata`); *Sym
-tables* is the same binomial kernel alone, behind
+the generators (e_x, e_y, parity, multiplicity) of each level k, writes
+each factor (1 -+ x^e_x y^e_y t^k)^(-+h) out as its binomial series,
+every coefficient got from the one before by an exact integer ratio, and
+multiplies the factors by sparse dict convolution
+(``TriSeries.__mul__``); :func:`hilb_series`, :func:`chi_y_product`,
+:func:`betti_series` and :func:`hh_rhs_series` are four calls to it with
+their own generators.  *strata* is packed ints, binomial Sym tables, no
+TriSeries: every bivariate polynomial is one nonnegative int (Kronecker
+substitution), each Sym^a table of the k-th diamond is a product of the
+closed-form binomials C(h+j-1, j) of an even generator and C(h, j) of an
+odd one (``math.comb``), and a product is one int multiply: for the main
+series one pass per part size k folds every Sym^a table of the k-th
+diamond into the layers of all n <= N (:func:`hilb_strata`), for the
+nested spaces one fold per marked partition (:func:`nested_via_strata`);
+*Sym tables* is the same binomial kernel alone, behind
 :func:`sym_power_twisted_hodge` and :func:`deformation_dims`; *exp* is
 the integer log-derivative recurrence of
 :meth:`~hilbhodge.series.TriSeries.exp`.
@@ -40,8 +41,10 @@ or its specialisation :func:`chi_y_from_hodge_series` (the helper behind
 ========================= ============================== =============================
 identity                  one side                       other side(s)
 ========================= ============================== =============================
-product-vs-partition      hilb_series (shared): Euler    hilb_strata: strata,
-                                                         one pass per part size
+product-vs-partition      hilb_series (shared): Euler,   hilb_strata: strata, packed
+                          ratio-built factors, dict      int multiplies of comb
+                          convolution                    tables, one pass per part
+                                                         size
 chi-y-three-way           chi_y_product: Euler           chi_y_exp: exp;
                                                          chi_y_from_hodge_series
                                                          (shared): Euler
@@ -57,6 +60,9 @@ oracle-suite              TriSeries.__mul__,             naive_mul,
                           generators
 ========================= ============================== =============================
 
+The Euler side calls none of the strata helpers (``_sym_layers``,
+``_pack``, ``_unpack``, ``_slot_bits``) and no ``math.comb``, so
+product-vs-partition compares two kernels that share no code.
 frolicher and hochschild-two-path run the Euler builder on both sides
 (``hilb_series`` against ``betti_series`` or ``hh_rhs_series``, other
 generators through the same builder); product-vs-partition covers the
@@ -75,7 +81,7 @@ from fractions import Fraction
 from math import comb
 
 from .partitions import nested_index_set
-from .series import TriSeries, _exact, _format_terms, euler_product
+from .series import TriSeries, _exact, _format_terms
 from .surfaces import DeformationInput, SurfaceDiamond, TwistedTable
 
 GradedDims = dict[int, int]
@@ -316,20 +322,27 @@ def _super_product(
     A generator ``(ex, ey, odd, h)`` of level k stands for h copies of
     x^ex y^ey t^k and contributes (1 - s x^ex y^ey t^k)^(-s h), s = -1
     when it is odd and +1 when it is even: Sym of an even space, the
-    exterior algebra of an odd one.  Generators with h = 0 are skipped.
+    exterior algebra of an odd one.  That factor is the binomial series
+    sum_j c_j (x^ex y^ey t^k)^j with c_0 = 1 and
+    c_{j+1} = c_j (h + s j) / (j + 1), an exact division; the series ends
+    at its first zero coefficient, c_{|h|+1} when s h < 0.  The factors
+    of one level are multiplied together, then the levels in descending
+    k, which keeps the intermediate supports small.
     """
-
-    def factor(k: int) -> TriSeries:
+    result = TriSeries.one(trunc_t)
+    for k in range(trunc_t, 0, -1):
         f = TriSeries.one(trunc_t)
         for ex, ey, odd, h in level(k):
-            if not h:
-                continue
-            sign = -1 if odd else 1
-            base = TriSeries({(0, 0, 0): 1, (ex, ey, k): -sign}, trunc_t)
-            f = f * base.int_pow(-sign * h)
-        return f
-
-    return euler_product(factor, trunc_t)
+            s = -1 if odd else 1
+            terms, c = {}, 1
+            for j in range(trunc_t // k + 1):
+                if not c:
+                    break
+                terms[(j * ex, j * ey, j * k)] = c
+                c = c * (h + s * j) // (j + 1)
+            f = f * TriSeries(terms, trunc_t)
+        result = result * f
+    return result
 
 
 # -- the main Euler product and its partition-sum twin ---------------------

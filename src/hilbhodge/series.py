@@ -4,10 +4,10 @@ Every generating function in this package lives in the truncated ring
 ``Q[x, y][[t]] / (t^(N+1))``: a sparse map from exponent triples
 ``(e_x, e_y, e_t)`` to exact coefficients, cut off t-adically at a fixed
 order ``trunc_t = N``.  Coefficients are Python ints, with
-:class:`fractions.Fraction` entering only through ``exp`` and inversion
-by a non-unit constant; floats and bools are rejected outright.  The
-layer of one power of t, :meth:`TriSeries.coefficient_of_t`, is a plain
-``{(e_x, e_y): coeff}`` dict.
+:class:`fractions.Fraction` entering only through ``exp``; floats and
+bools are rejected outright.  The layer of one power of t,
+:meth:`TriSeries.coefficient_of_t`, is a plain ``{(e_x, e_y): coeff}``
+dict.
 
 Values are immutable after construction and every operation is a pure
 function, so series can be shared freely across threads and coefficients
@@ -16,7 +16,7 @@ of independent t-orders can be consumed in parallel.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 Coefficient = int | Fraction
@@ -25,23 +25,16 @@ Monomial = tuple[int, int, int]
 __all__ = [
     "BadConstantTerm",
     "Coefficient",
-    "FactorNotNormalized",
     "Monomial",
-    "NonUnitConstantTerm",
     "SeriesError",
     "TriSeries",
     "TruncationExceeded",
     "UnsupportedSubstitution",
-    "euler_product",
 ]
 
 
 class SeriesError(Exception):
     """Base class for series arithmetic errors."""
-
-
-class NonUnitConstantTerm(SeriesError):
-    """Inversion of a series whose t^0 layer is not a nonzero constant."""
 
 
 class BadConstantTerm(SeriesError):
@@ -54,10 +47,6 @@ class UnsupportedSubstitution(SeriesError):
 
 class TruncationExceeded(SeriesError):
     """A coefficient beyond the truncation order was requested."""
-
-
-class FactorNotNormalized(SeriesError):
-    """Euler-product factor at index k is not congruent to 1 modulo t^k."""
 
 
 def _exact(value: Coefficient) -> Coefficient:
@@ -145,9 +134,6 @@ class TriSeries:
         """Terms in the canonical order (e_t, e_x, e_y), ascending."""
         return sorted(self._terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
 
-    def support(self) -> Iterator[Monomial]:
-        return iter(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -233,48 +219,6 @@ class TriSeries:
         return TriSeries._make(acc, trunc)
 
     __rmul__ = __mul__
-
-    def invert(self) -> "TriSeries":
-        """Multiplicative inverse; needs the whole t^0 layer to be a unit."""
-        constant = self._terms.get((0, 0, 0), 0)
-        if not constant:
-            raise NonUnitConstantTerm("constant term is zero")
-        for ex, ey, et in self._terms:
-            if et == 0 and (ex or ey):
-                raise NonUnitConstantTerm(
-                    "t^0 layer contains non-constant monomials"
-                )
-        # a = c0 (1 - u) with u supported in t-degree >= 1, so
-        # a^-1 = c0^-1 sum u^j; accumulate with Horner's scheme.
-        inv_c0: Coefficient = 1 if constant == 1 else Fraction(1, 1) / constant
-        u_terms = {
-            k: -v * inv_c0 for k, v in self._terms.items() if k != (0, 0, 0)
-        }
-        u = TriSeries._make(u_terms, self.trunc_t)
-        one = TriSeries.one(self.trunc_t)
-        result = one
-        for _ in range(self.trunc_t):
-            result = one + u * result
-        return result._scale(inv_c0)
-
-    def int_pow(self, exponent: int) -> "TriSeries":
-        """Integer power by repeated squaring; negative powers invert first."""
-        if not isinstance(exponent, int):
-            raise TypeError("exponent must be an integer")
-        if exponent < 0:
-            return self.int_pow(-exponent).invert()
-        result = TriSeries.one(self.trunc_t)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    __pow__ = int_pow
 
     def exp(self) -> "TriSeries":
         """Exponential of a series supported in t-degree >= 1."""
@@ -380,29 +324,3 @@ class TriSeries:
             not isinstance(v, Fraction) or v.denominator == 1
             for v in self._terms.values()
         )
-
-
-def euler_product(factor: Callable[[int], TriSeries], trunc_t: int) -> TriSeries:
-    """Product over k = 1..trunc_t of factors with factor(k) = 1 mod t^k.
-
-    The normalization guarantees that factors with k > trunc_t cannot
-    contribute, so the finite product equals the infinite one up to the
-    truncation order.  Factors are multiplied in descending k, which keeps
-    the intermediate supports small; the result is order-independent.
-    """
-    result = TriSeries.one(trunc_t)
-    for k in range(trunc_t, 0, -1):
-        f = factor(k)
-        if f.trunc_t < trunc_t:
-            raise ValueError(
-                f"factor {k} truncated at {f.trunc_t} < requested order {trunc_t}"
-            )
-        if f.coefficient(0, 0, 0) != 1:
-            raise FactorNotNormalized(f"factor {k} has constant term != 1")
-        for ex, ey, et in f.support():
-            if et < k and (ex, ey, et) != (0, 0, 0):
-                raise FactorNotNormalized(
-                    f"factor {k} has a term of t-degree {et} < {k}"
-                )
-        result = result * f
-    return result

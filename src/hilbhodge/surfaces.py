@@ -279,7 +279,7 @@ def load_dataset(source: str | os.PathLike) -> SurfaceDataset:
     if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
     else:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             text = fh.read()
     try:
         obj = json.loads(text)

@@ -1,12 +1,14 @@
-"""Shared helpers: random tables and a capture-safe CLI runner."""
+"""Shared helpers: random tables, an Euler-factor oracle, a capture-safe CLI runner."""
 
 from __future__ import annotations
 
 import io
+import operator
 from contextlib import redirect_stderr, redirect_stdout
 from random import Random
 
 from hilbhodge.cli import main as cli_main
+from hilbhodge.series import TriSeries
 from hilbhodge.surfaces import SurfaceDiamond, TwistedTable
 
 
@@ -32,6 +34,31 @@ def random_symmetric_table(rng: Random, max_power: int, hi: int = 3) -> TwistedT
     return TwistedTable(
         [random_symmetric_diamond(rng, hi) for _ in range(max_power + 1)]
     )
+
+
+def euler_power(m, k, e, trunc, mul=operator.mul):
+    """(1 - c x^ex y^ey t^k)^(-e) to t^trunc, for m = (c, ex, ey) and c = +-1.
+
+    The long way, independent of the engine's binomial factors:
+    1/(1 - m t^k) is written out as its geometric series sum_j (m t^k)^j,
+    and the |e|-th power of it (e > 0) or of 1 - m t^k (e < 0) is taken by
+    repeated squaring and multiplication with ``mul``.
+    """
+    c, ex, ey = m
+    if e >= 0:
+        base = TriSeries(
+            {(j * ex, j * ey, j * k): c**j for j in range(trunc // k + 1)}, trunc
+        )
+    else:
+        base = TriSeries({(0, 0, 0): 1, (ex, ey, k): -c}, trunc)
+    result, e = TriSeries.one(trunc), abs(e)
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

@@ -273,6 +273,32 @@ def test_verify_failure_names_the_first_differing_entry(monkeypatch):
     ]
 
 
+def test_verify_chi_y_failure_names_the_first_differing_power(monkeypatch):
+    chi_y_exp = engine.chi_y_exp
+    monkeypatch.setattr(  # chi_y of Hilb^2 of k3: y^1 has 42, y^3 has 42
+        engine,
+        "chi_y_exp",
+        lambda table, N: chi_y_exp(table, N) + TriSeries({(0, 3, 2): 1}, N),
+    )
+    code, out, err = run_cli("verify", "--preset", "k3", "-N", "4")
+    assert (code, err) == (3, "")
+    assert out.splitlines()[1] == (
+        "chi-y-three-way: FAIL (paths disagree at n=2, y=3: 42 != 43)"
+    )
+    monkeypatch.setattr(engine, "chi_y_exp", chi_y_exp)
+    monkeypatch.setattr(  # the Hodge specialisation, checked second
+        engine,
+        "chi_y_from_hodge_series",
+        lambda series: TriSeries({(0, 1, 2): -1}, series.trunc_t)
+        + series.substitute({"x": "-y", "y": -1}),
+    )
+    code, out, err = run_cli("verify", "--preset", "k3", "-N", "4")
+    assert (code, err) == (3, "")
+    assert out.splitlines()[1] == (
+        "chi-y-three-way: FAIL (paths disagree at n=2, y=1: 42 != 41)"
+    )
+
+
 def test_verify_oracle_suite_runs_on_a_large_diamond(monkeypatch):
     # the k3 diamond has 24 generators, past the enumeration guard of 12;
     # the check caps it instead of skipping the symmetric-power oracle
@@ -379,6 +405,17 @@ def test_missing_file_exits_1(tmp_path):
     )
     code, out, err = run_cli("hilb", "--input", str(tmp_path), "-n", "1")
     assert (code, out, err) == (1, "", f"error: --input {tmp_path}: Is a directory\n")
+
+
+def test_non_utf8_input_names_the_flag(tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli("hilb", "--input", str(path), "-n", "1")
+    assert (code, out, err) == (
+        1,
+        "",
+        f"error: --input {path}: not valid UTF-8 text (invalid start byte at byte 0)\n",
+    )
 
 
 def test_bad_arguments_exit_1():

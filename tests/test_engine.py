@@ -4,14 +4,16 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from conftest import random_symmetric_table, random_table
+from conftest import euler_power, random_symmetric_table, random_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hilbhodge import engine
 from hilbhodge.engine import (
     HodgePolynomial,
     InsufficientPowers,
     IntegralityFailure,
+    _super_product,
     _sym_terms,
     betti_series,
     chi_y_exp,
@@ -33,7 +35,7 @@ from hilbhodge.engine import (
     sym_power_twisted_hodge,
     tangent_dims_from_layer,
 )
-from hilbhodge.oracles import super_sym_multiset
+from hilbhodge.oracles import naive_mul, super_sym_multiset
 from hilbhodge.partitions import nested_index_set, partitions
 from hilbhodge.series import TriSeries
 from hilbhodge.surfaces import PRESET_NAMES, SurfaceDiamond, TwistedTable, preset
@@ -113,6 +115,48 @@ def test_sym_power_two_hopf():
     assert sym.space_dim == 4
 
 
+# -- the Euler product builder ------------------------------------------------
+
+# (k, e_x, e_y, odd, h): a generator of level k <= 3, odd and even, h = -3..3
+super_generators = st.lists(
+    st.tuples(
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(0, 1),
+        st.integers(-3, 3),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(super_generators, st.integers(0, 6))
+# no caller hands the builder an odd generator with h < 0; this test does
+@example([(1, 1, 0, 1, -2), (2, 0, 1, 1, -3), (1, 2, 2, 0, 3)], 6)
+def test_super_product_matches_naive_product_of_long_factors(generators, N):
+    want = TriSeries.one(N)
+    for k, ex, ey, odd, h in generators:
+        sign = -1 if odd else 1
+        factor = euler_power((sign, ex, ey), k, sign * h, N, naive_mul)
+        want = naive_mul(want, factor)
+    got = _super_product(lambda k: [g[1:] for g in generators if g[0] == k], N)
+    assert got == want
+
+
+def test_euler_side_calls_no_strata_helper(monkeypatch):
+    # product-vs-partition compares two kernels only while they share no code
+    def forbidden(*args):
+        raise AssertionError("the Euler side reached a strata helper")
+
+    for name in ("_sym_layers", "_pack", "_unpack", "_slot_bits", "comb"):
+        monkeypatch.setattr(engine, name, forbidden)
+    ds = preset("k3", max_power=4)
+    for build in (hilb_series, chi_y_product, hh_rhs_series):
+        build(ds.table, 4)
+    betti_series(ds.betti, 4)
+
+
 # -- the main series --------------------------------------------------------
 
 
@@ -138,7 +182,7 @@ def test_hilb_hopf_square_is_the_printed_polynomial():
 def test_hilb_degree_bounds():
     rng = Random(9)
     table = random_table(rng, 4)
-    for (ex, ey, et) in hilb_series(table, 4).support():
+    for (ex, ey, et), _ in hilb_series(table, 4).sorted_terms():
         assert ex <= 2 * et and ey <= 2 * et
 
 
@@ -165,10 +209,8 @@ def test_hilb_constant_table_equals_untwisted_product():
     for k in range(1, trunc + 1):
         for (p, q), h in d.bigraded().items():
             sign = -1 if (p + q) % 2 else 1
-            base = TriSeries(
-                {(0, 0, 0): 1, (p + k - 1, q + k - 1, k): -sign}, trunc
-            )
-            direct = direct * base.int_pow(-sign * h)
+            m = (sign, p + k - 1, q + k - 1)
+            direct = direct * euler_power(m, k, sign * h, trunc)
     assert direct == hilb_series(preset("k3", max_power=trunc).table, trunc)
 
 
@@ -302,7 +344,7 @@ def test_nested_trivial_bundles_factorize():
         surface = TriSeries(
             {(p, q, 0): v for (p, q), v in ds.table.diamond(0).bigraded().items()}, 5
         )
-        point_chain = TriSeries({(0, 0, 0): 1, (1, 1, 1): -1}, 5).invert()
+        point_chain = euler_power((1, 1, 1), 1, 1, 5)
         assert series == hilb_series(ds.table, 5) * surface * point_chain
 
 
@@ -343,13 +385,12 @@ def _sym_by_series(dims, a):
     """Sym^a of a bigraded super space through the TriSeries kernel.
 
     The shape super_sym_series had before the packed binomial tables:
-    one (1 -+ x^p y^q t)^{-+v} factor per bidegree, by int_pow/invert.
+    one (1 -+ x^p y^q t)^{-+v} factor per bidegree, by euler_power.
     """
     result = TriSeries.one(a)
     for (p, q), v in sorted(dims.items()):
         sign = -1 if (p + q) % 2 else 1
-        base = TriSeries({(0, 0, 0): 1, (p, q, 1): -sign}, a)
-        result = result * base.int_pow(-sign * v)
+        result = result * euler_power((sign, p, q), 1, sign * v, a)
     return dict(result.coefficient_of_t(a).items())
 
 
@@ -446,7 +487,7 @@ def test_nested_degree_bounds():
     rng = Random(17)
     table_l = random_table(rng, 4)
     table_lp = random_table(rng, 4)
-    for (ex, ey, et) in nested_series(table_l, table_lp, 4).support():
+    for (ex, ey, et), _ in nested_series(table_l, table_lp, 4).sorted_terms():
         assert ex <= 2 * et + 2 and ey <= 2 * et + 2
 
 

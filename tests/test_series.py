@@ -1,4 +1,4 @@
-"""Series ring: arithmetic, inversion, exp, substitution, Euler products."""
+"""Series ring: arithmetic, exp, substitution; the Euler factors built on it."""
 
 from fractions import Fraction
 
@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbhodge.engine import _super_product
 from hilbhodge.oracles import naive_mul
 from hilbhodge.series import (
     BadConstantTerm,
-    FactorNotNormalized,
-    NonUnitConstantTerm,
     TriSeries,
     TruncationExceeded,
     UnsupportedSubstitution,
-    euler_product,
 )
 
 ONE = TriSeries.one(4)
@@ -110,66 +108,56 @@ def test_mul_expands_binomials():
     assert got == want
 
 
-# -- invert ------------------------------------------------------------------
+# -- Euler factors: inverses and powers of 1 - m t^k ---------------------------
+
+
+def factor(ex, ey, k, odd, h, trunc=4):
+    """(1 - s x^ex y^ey t^k)^(-s h), s = -1 odd and +1 even, from the Euler builder."""
+    return _super_product(lambda level: [(ex, ey, odd, h)] if level == k else [], trunc)
 
 
 def test_invert_geometric_series():
-    assert ONE_MINUS_T.invert() == geometric(4)
-
-
-def test_invert_one():
-    assert ONE.invert() == ONE
+    assert factor(0, 0, 1, 0, 1) == geometric(4)
 
 
 def test_invert_xy_geometric():
-    s = TriSeries({(0, 0, 0): 1, (1, 1, 1): -1}, 4).invert()
+    s = factor(1, 1, 1, 0, 1)
     assert s == TriSeries({(n, n, n): 1 for n in range(5)}, 4)
 
 
 def test_invert_is_two_sided_up_to_truncation():
-    a = TriSeries({(0, 0, 0): -1, (1, 0, 1): 2, (0, 2, 2): 3}, 4)
-    assert a * a.invert() == ONE
-    assert a.invert() * a == ONE
-
-
-def test_invert_rejects_zero_constant():
-    with pytest.raises(NonUnitConstantTerm):
-        T.invert()
-
-
-def test_invert_rejects_nonconstant_unit_layer():
-    with pytest.raises(NonUnitConstantTerm):
-        (ONE + X).invert()
-
-
-def test_invert_non_unit_integer_goes_rational():
-    a = TriSeries({(0, 0, 0): 2, (0, 0, 1): 1}, 3)
-    assert a * a.invert() == TriSeries.one(3)
-
-
-# -- int_pow -------------------------------------------------------------------
+    # (1 - x y^2 t^k)^h and its inverse, h of either sign
+    for k in (1, 2):
+        for h in (1, 2, -3):
+            pair = [(1, 2, 0, h), (1, 2, 0, -h)]
+            assert _super_product(lambda level: pair if level == k else [], 4) == ONE
 
 
 def test_pow_square():
-    assert (ONE + T).int_pow(2) == TriSeries(
+    assert factor(0, 0, 1, 1, 2) == TriSeries(
         {(0, 0, 0): 1, (0, 0, 1): 2, (0, 0, 2): 1}, 4
     )
 
 
 def test_pow_zero():
-    a = TriSeries({(1, 1, 1): 9, (0, 0, 0): 1}, 4)
-    assert a.int_pow(0) == ONE
+    assert factor(1, 1, 1, 0, 0) == ONE
+    assert factor(1, 1, 1, 1, 0) == ONE
 
 
 def test_pow_negative_two():
-    got = ONE_MINUS_T.int_pow(-2)
+    got = factor(0, 0, 1, 0, 2)
     want = TriSeries({(0, 0, n): n + 1 for n in range(5)}, 4)
     assert got == want
 
 
 def test_pow_negative_equals_invert_of_pow():
-    a = ONE + X * T + Y * T
-    assert a.int_pow(-3) == a.int_pow(3).invert()
+    # an odd generator with h = -3 is 1/(1 + x t)^3
+    pair = [(1, 0, 1, -3), (1, 0, 1, 3)]
+    assert _super_product(lambda level: pair if level == 1 else [], 4) == ONE
+    want = TriSeries(
+        {(n, 0, n): (-1) ** n * (n + 1) * (n + 2) // 2 for n in range(5)}, 4
+    )
+    assert factor(1, 0, 1, 1, -3) == want
 
 
 # -- exp / log -----------------------------------------------------------------
@@ -245,7 +233,7 @@ def test_substitute_rejects_general_targets():
 
 
 def test_coefficient_of_t_picks_diagonal():
-    s = TriSeries({(0, 0, 0): 1, (1, 1, 1): -1}, 4).invert()
+    s = TriSeries({(n, n, n): 1 for n in range(5)}, 4)
     assert s.coefficient_of_t(3) == {(3, 3): 1}
 
 
@@ -254,7 +242,7 @@ def test_coefficient_of_t_out_of_range():
         ONE.coefficient_of_t(5)
 
 
-# -- euler products ------------------------------------------------------------------
+# -- the Euler product builder ------------------------------------------------------------------
 
 
 def _count_partitions(n: int, max_part: int | None = None) -> int:
@@ -265,58 +253,38 @@ def _count_partitions(n: int, max_part: int | None = None) -> int:
     return sum(_count_partitions(n - p, p) for p in range(1, cap + 1))
 
 
-def test_euler_product_counts_partitions():
-    series = euler_product(
-        lambda k: TriSeries({(0, 0, 0): 1, (0, 0, k): -1}, 5).invert(), 5
-    )
+def test_super_product_counts_partitions():
+    series = _super_product(lambda k: [(0, 0, 0, 1)], 5)
     assert series.coefficient(0, 0, 5) == _count_partitions(5) == 7
     for n in range(6):
         assert series.coefficient(0, 0, n) == _count_partitions(n)
 
 
-def test_euler_product_of_ones():
-    assert euler_product(lambda k: TriSeries.one(3), 3) == TriSeries.one(3)
+def test_super_product_of_ones():
+    assert _super_product(lambda k: [(k, k, k % 2, 0)], 3) == TriSeries.one(3)
 
 
-def test_euler_product_truncation_one():
-    series = euler_product(
-        lambda k: TriSeries({(0, 0, 0): 1, (0, 0, k): -1}, 1), 1
-    )
+def test_super_product_truncation_one():
+    # prod_k (1 - t^k): only k = 1 reaches t^1
+    series = _super_product(lambda k: [(0, 0, 0, -1)], 1)
     assert series == TriSeries({(0, 0, 0): 1, (0, 0, 1): -1}, 1)
-
-
-def test_euler_product_rejects_unnormalized_factor():
-    with pytest.raises(FactorNotNormalized):
-        euler_product(lambda k: TriSeries({(0, 0, 0): 1, (0, 0, 1): 1}, 3), 3)
-
-
-def test_euler_product_rejects_wrong_constant():
-    with pytest.raises(FactorNotNormalized):
-        euler_product(lambda k: TriSeries({(0, 0, 0): 2}, 3), 3)
 
 
 # -- property tests ---------------------------------------------------------------------
 
 
 @st.composite
-def series_st(draw, trunc=3, min_t=0):
+def series_st(draw, trunc=3):
     n_terms = draw(st.integers(0, 6))
     terms = {}
     for _ in range(n_terms):
         key = (
             draw(st.integers(0, 2)),
             draw(st.integers(0, 2)),
-            draw(st.integers(min_t, trunc)),
+            draw(st.integers(0, trunc)),
         )
         terms[key] = draw(st.integers(-3, 3))
     return TriSeries(terms, trunc)
-
-
-@st.composite
-def unit_series_st(draw, trunc=3):
-    body = draw(series_st(trunc=trunc, min_t=1))
-    constant = draw(st.sampled_from([1, -1]))
-    return body + TriSeries({(0, 0, 0): constant}, trunc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,12 +295,6 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-
-
-@settings(max_examples=60, deadline=None)
-@given(unit_series_st())
-def test_invert_round_trip(a):
-    assert a * a.invert() == TriSeries.one(a.trunc_t)
 
 
 def horner_exp(a):
