@@ -26,9 +26,11 @@ A ``verify`` check whose input the dataset does not carry reports
 ``SKIP (reason)`` and the other checks still run; among the reasons are a
 missing deformation block, a twisted table where a check needs the trivial
 bundle, N < 3 for deformation-omega-trivial, and a ``nested_diamonds``
-shorter than
-min(N, 4) + 1 entries for nested-two-path (the reason names the missing
-power).  A main table that stops below N is exit 2 before any check.
+shorter than min(N, 4) + 1 entries for nested-two-path (the reason names
+the missing power).  A main table that stops below N is exit 2 before any
+check.  ``verify`` expands the shared ``hilb_series(N)`` in a forked child
+while it computes the other sides; a failure there fails each check that
+reads that series.  Without ``os.fork`` it runs in process, same output.
 An ``--input`` dataset that declares ``kahler_symmetric`` but has an
 asymmetric diamond prints ``warning: ...`` to stderr; stdout and the exit
 code are those of the same dataset without the flag.
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
 import sys
 from collections.abc import Callable
@@ -61,6 +64,7 @@ from .surfaces import (
     SurfaceDataError,
     SurfaceDataset,
     SurfaceDiamond,
+    TwistedTable,
     load_dataset,
     preset,
     validate,
@@ -307,56 +311,102 @@ def _disagreement(n: int, name: str, got: dict, want: dict) -> _CheckFailed:
     )
 
 
+def _first_difference(got: TriSeries, want: TriSeries, name: str, axis: int) -> None:
+    """Raise the first disagreement of two series in (x, t) (axis 0) or (y, t) (1)."""
+    if got == want:
+        return
+    for n in range(got.trunc_t + 1):
+        a = {key[axis]: c for key, c in got.coefficient_of_t(n).items()}
+        b = {key[axis]: c for key, c in want.coefficient_of_t(n).items()}
+        if a != b:
+            raise _disagreement(n, name, a, b)
+
+
+def _start_series(table: TwistedTable, N: int) -> Callable[[], TriSeries | EngineError]:
+    """Expand ``engine.hilb_series(table, N)`` in a forked child; return its receiver.
+
+    The child pipes the terms, or its exception's message, with ``marshal``
+    and leaves by ``os._exit``, so it never returns into its caller's frames
+    or flushes an inherited stdio buffer.  The receiver reads the pipe to its
+    end, reaps the child and returns the series, or an ``EngineError`` with
+    the child's message or exit status.  Without ``os.fork`` it runs in process.
+    """
+
+    def payload() -> bytes:
+        try:
+            return marshal.dumps(engine.hilb_series(table, N)._terms)
+        except Exception as exc:  # the receiver returns it as an EngineError
+            return marshal.dumps(str(exc))
+
+    def decode(data: bytes, code: int) -> TriSeries | EngineError:
+        if code:
+            return EngineError(f"hilb_series ended without a result (exit status {code})")
+        terms = marshal.loads(data)
+        return EngineError(terms) if isinstance(terms, str) else TriSeries._make(terms, N)
+
+    if not hasattr(os, "fork"):
+        return lambda: decode(payload(), 0)
+    fd, write_fd = os.pipe()
+    pid = os.fork()
+    if not pid:
+        try:
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload())
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+
+    def receive() -> TriSeries | EngineError:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+        return decode(data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+    return receive
+
+
 def _verify_checks(ds: SurfaceDataset, N: int):
+    """Checks in order: each computes its side, then returns None or its comparison."""
     table = ds.table
-    # the one product-route series: every check on the main Hodge series reads it
-    series = engine.hilb_series(table, N)
-    layers = [
-        HodgePolynomial(series.coefficient_of_t(n), 2 * n) for n in range(N + 1)
-    ]
 
-    def product_vs_partition() -> None:
-        for n, (got, want) in enumerate(zip(layers, engine.hilb_strata(table, N))):
-            if got != want:
-                raise _disagreement(n, "(p, q)", dict(got.items()), dict(want.items()))
+    def product_vs_partition():
+        strata = engine.hilb_strata(table, N)
 
-    def chi_y_three_way() -> None:
-        by_product = engine.chi_y_product(table, N)
-        by_exp = engine.chi_y_exp(table, N)
-        by_hodge = engine.chi_y_from_hodge_series(series)
-        for other in (by_exp, by_hodge):
-            for n in range(N + 1):
-                got = {y: c for (_, y), c in by_product.coefficient_of_t(n).items()}
-                want = {y: c for (_, y), c in other.coefficient_of_t(n).items()}
+        def compare(series: TriSeries, layers: list[HodgePolynomial]) -> None:
+            for n, (got, want) in enumerate(zip(layers, strata)):
                 if got != want:
-                    raise _disagreement(n, "y", got, want)
+                    raise _disagreement(n, "(p, q)", dict(got.items()), dict(want.items()))
+        return compare
 
-    def frolicher() -> None:
+    def chi_y_three_way():
+        by_product = engine.chi_y_product(table, N)
+        _first_difference(by_product, engine.chi_y_exp(table, N), "y", 1)
+        hodge = engine.chi_y_from_hodge_series
+        return lambda series, layers: _first_difference(by_product, hodge(series), "y", 1)
+
+    def frolicher():
         if not table.is_constant():
             raise _CheckSkipped("table is not a trivial-bundle table")
-        # b_i(Hilb^n) = sum_{p+q=i} h^{p,q}(Hilb^n): both series live in (x, t)
-        collapsed = series.substitute({"y": "x"})
         betti = engine.betti_series(ds.betti, N)
-        if collapsed == betti:
-            return
-        for n in range(N + 1):
-            got = {i: c for (i, _), c in collapsed.coefficient_of_t(n).items()}
-            want = {i: c for (i, _), c in betti.coefficient_of_t(n).items()}
-            if got != want:
-                raise _disagreement(n, "i", got, want)
+        # b_i(Hilb^n) = sum_{p+q=i} h^{p,q}(Hilb^n): both series live in (x, t)
+        return lambda series, layers: _first_difference(
+            series.substitute({"y": "x"}), betti, "i", 0
+        )
 
-    def hochschild_two_path() -> None:
+    def hochschild_two_path():
         rhs = engine.hh_rhs_series(table, N)
-        for n, poly in enumerate(layers):
-            got, want = poly.collapse_hodge_degree(), engine.hh_from_rhs(rhs, n)
-            if got != want:
-                raise _disagreement(n, "i", got, want)
+
+        def compare(series: TriSeries, layers: list[HodgePolynomial]) -> None:
+            for n, poly in enumerate(layers):
+                got, want = poly.collapse_hodge_degree(), engine.hh_from_rhs(rhs, n)
+                if got != want:
+                    raise _disagreement(n, "i", got, want)
+        return compare
 
     def nested_two_path() -> None:
         llp = ds.nested_or_main()
         depth = min(N, 4)
-        # the main table reaches N (hilb_series checked it), so only a
-        # nested_diamonds shorter than the depth stops here
+        # the main table reaches N, so only a short nested_diamonds stops here
         if llp.max_power < depth:
             raise _CheckSkipped(
                 f"nested_diamonds stops at K={llp.max_power}, the check needs "
@@ -379,7 +429,7 @@ def _verify_checks(ds: SurfaceDataset, N: int):
         if (dims[0], dims[1], dims[2]) != closed:
             raise _CheckFailed(f"n=3 dims {tuple(dims.values())} != closed {closed}")
 
-    def deformation_omega_trivial() -> None:
+    def deformation_omega_trivial():
         # a trivial-bundle table whose deformation block claims a trivial
         # canonical bundle (h^*(w2 T) = h^{0,*})
         din = ds.deformation
@@ -387,11 +437,14 @@ def _verify_checks(ds: SurfaceDataset, N: int):
             raise _CheckSkipped("table does not describe a trivial canonical bundle")
         if N < 3:
             raise _CheckSkipped("needs N >= 3")
-        for n in (2, 3):
-            got = engine.deformation_dims(din, n, 3)
-            want = engine.tangent_dims_from_layer(layers[n], 3)
-            if got != want:
-                raise _CheckFailed(f"n={n}: formula {got} != series column {want}")
+        formulas = {n: engine.deformation_dims(din, n, 3) for n in (2, 3)}
+
+        def compare(series: TriSeries, layers: list[HodgePolynomial]) -> None:
+            for n, formula in formulas.items():
+                column = engine.tangent_dims_from_layer(layers[n], 3)
+                if formula != column:
+                    raise _CheckFailed(f"n={n}: formula {formula} != series column {column}")
+        return compare
 
     def oracle_suite() -> None:
         a = engine.hilb_series(table, min(N, 3))
@@ -425,21 +478,38 @@ def _verify_checks(ds: SurfaceDataset, N: int):
     ]
 
 
+def _attempt(step: Callable, *args) -> tuple[str, Callable | None]:
+    """PASS, ``SKIP (reason)`` or ``FAIL (reason)``, and what ``step`` returned."""
+    try:
+        result = step(*args)
+    except _CheckSkipped as skip:
+        return f"SKIP ({skip})", None
+    except InsufficientPowers:
+        raise
+    except (_CheckFailed, EngineError) as exc:
+        return f"FAIL ({exc})", None
+    return "PASS", result
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     ds = _dataset(args, args.N)
+    engine._require_powers(ds.table, args.N, "hilb_series")
+    receive = _start_series(ds.table, args.N)
+    try:
+        # each check's own side, while the child expands the shared series
+        steps = [(name, _attempt(check)) for name, check in _verify_checks(ds, args.N)]
+    finally:
+        shared = receive()  # reads the pipe to its end and reaps the child
+    failed = isinstance(shared, EngineError)
+    if not failed:
+        layers = [HodgePolynomial(shared.coefficient_of_t(n), 2 * n) for n in range(args.N + 1)]
     failures: list[str] = []
-    for name, check in _verify_checks(ds, args.N):
-        try:
-            check()
-        except _CheckSkipped as skip:
-            print(f"{name}: SKIP ({skip})")
-        except InsufficientPowers:
-            raise
-        except (_CheckFailed, EngineError) as exc:
-            print(f"{name}: FAIL ({exc})")
+    for name, (status, compare) in steps:
+        if compare is not None:
+            status = f"FAIL ({shared})" if failed else _attempt(compare, shared, layers)[0]
+        print(f"{name}: {status}")
+        if status.startswith("FAIL"):
             failures.append(name)
-        else:
-            print(f"{name}: PASS")
     if failures:
         print(f"verification FAILED; first failing check: {failures[0]}")
         return 3

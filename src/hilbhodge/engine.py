@@ -33,10 +33,10 @@ nested spaces one fold per marked partition (:func:`nested_via_strata`);
 :func:`sym_power_twisted_hodge` and :func:`deformation_dims`; *exp* is
 the integer log-derivative recurrence of
 :meth:`~hilbhodge.series.TriSeries.exp`.
-``verify`` expands ``hilb_series(table, N)`` once; *shared* marks the
-sides that read that one series: its t-layers, its substitution y -> x,
-or its specialisation :func:`chi_y_from_hodge_series` (the helper behind
-:func:`chi_y_from_hodge`).
+``verify`` expands ``hilb_series(table, N)`` once, in a second process
+(in process without ``os.fork``; same output); *shared* marks the sides
+that read it: its t-layers, its substitution y -> x, or its
+specialisation :func:`chi_y_from_hodge_series` (see :func:`chi_y_from_hodge`).
 
 ========================= ============================== =============================
 identity                  one side                       other side(s)

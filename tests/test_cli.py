@@ -1,6 +1,8 @@
 """Command-line surface: rendering, schemas, exit codes, verification."""
 
+import hashlib
 import json
+import marshal
 import os
 import subprocess
 import sys
@@ -8,12 +10,13 @@ from pathlib import Path
 
 import pytest
 from conftest import run_cli
+from test_cli_golden import GOLDEN, TWISTED
 
 import hilbhodge
 
 from hilbhodge import cli, engine
 from hilbhodge.cli import render_diamond, render_latex
-from hilbhodge.engine import HodgePolynomial, hilb_coefficient
+from hilbhodge.engine import HodgePolynomial, IntegralityFailure, hilb_coefficient
 from hilbhodge.oracles import super_sym_multiset
 from hilbhodge.series import TriSeries
 from hilbhodge.surfaces import PRESET_NAMES, preset, serialize
@@ -320,6 +323,128 @@ def test_verify_oracle_suite_runs_on_a_large_diamond(monkeypatch):
     assert seen == [{(0, 0): 1, (0, 2): 1, (1, 1): 8, (2, 0): 1, (2, 2): 1}] * 4
 
 
+# -- the shared series in a second process ------------------------------------
+
+
+@pytest.fixture(params=["fork", "no fork"])
+def fork(request, monkeypatch):
+    """Run verify with os.fork, or as on a platform without it."""
+    if request.param == "no fork":
+        monkeypatch.delattr(os, "fork")
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):  # every child reaped, none running
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_series_past_the_pipe_buffer_is_the_same_without_fork(monkeypatch):
+    # the k3 series at N=16 is more than a 64 KiB pipe holds, so the child
+    # blocks in its write until the parent has computed the other sides
+    terms = engine.hilb_series(preset("k3", max_power=16).table, 16)._terms
+    assert len(marshal.dumps(terms)) > 65536
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    forked = run_cli("verify", "--preset", "k3", "-N", "16")
+    _no_child_left()
+    assert forks == [1]
+    assert forked[0] == 0 and forked[1].endswith("all checks passed\n")
+    monkeypatch.delattr(os, "fork")
+    assert run_cli("verify", "--preset", "k3", "-N", "16") == forked
+
+
+@pytest.mark.parametrize("dataset", ["hopf", "k3", "twisted"])
+def test_verify_golden_digests_with_and_without_fork(dataset, fork, tmp_path):
+    args = ("--preset", dataset)
+    if dataset == "twisted":
+        path = tmp_path / "twisted.json"
+        path.write_text(json.dumps(TWISTED))
+        args = ("--input", str(path))
+    code, out, err = run_cli("verify", *args, "-N", "4")
+    _no_child_left()
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest, err) == (*GOLDEN[f"{dataset} verify -N 4"], "")
+
+
+def test_verify_fails_each_check_that_reads_a_failed_series(monkeypatch, fork):
+    # only the shared series (N=6) fails; nested-two-path (depth 4) and
+    # oracle-suite (order 3) expand their own products and still pass
+    hilb_series = engine.hilb_series
+
+    def boom(table, N):
+        if N == 6:
+            raise IntegralityFailure("boom")
+        return hilb_series(table, N)
+
+    monkeypatch.setattr(engine, "hilb_series", boom)
+    code, out, err = run_cli("verify", "--preset", "k3", "-N", "6")
+    _no_child_left()
+    assert (code, err) == (3, "")
+    assert out.splitlines() == [
+        "product-vs-partition: FAIL (boom)",
+        "chi-y-three-way: FAIL (boom)",
+        "frolicher: FAIL (boom)",
+        "hochschild-two-path: FAIL (boom)",
+        "nested-two-path: PASS",
+        "deformation-closed-forms: PASS",
+        "deformation-omega-trivial: FAIL (boom)",
+        "oracle-suite: PASS",
+        "verification FAILED; first failing check: product-vs-partition",
+    ]
+
+
+def test_verify_fails_the_series_checks_when_the_child_leaves_no_result(monkeypatch):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    hilb_series = engine.hilb_series
+    test_pid = os.getpid()
+
+    def dies(table, N):  # in the child only, before it sends the series (N=5)
+        if N == 5 and os.getpid() != test_pid:
+            os._exit(7)
+        return hilb_series(table, N)
+
+    monkeypatch.setattr(engine, "hilb_series", dies)
+    code, out, err = run_cli("verify", "--preset", "hopf", "-N", "5")
+    _no_child_left()
+    assert (code, err) == (3, "")
+    reason = "FAIL (hilb_series ended without a result (exit status 7))"
+    assert out.splitlines() == [
+        f"product-vs-partition: {reason}",
+        f"chi-y-three-way: {reason}",
+        f"frolicher: {reason}",
+        f"hochschild-two-path: {reason}",
+        "nested-two-path: PASS",
+        f"deformation-closed-forms: {_NO_DEFORMATION}",
+        f"deformation-omega-trivial: {_NOT_OMEGA_TRIVIAL}",
+        "oracle-suite: PASS",
+        "verification FAILED; first failing check: product-vs-partition",
+    ]
+
+
+def test_verify_reaps_the_child_when_a_check_raises(monkeypatch, fork):
+    def broken(table, N):
+        raise RuntimeError("not a check failure")
+
+    monkeypatch.setattr(engine, "hilb_strata", broken)
+    with pytest.raises(RuntimeError, match="not a check failure"):
+        run_cli("verify", "--preset", "k3", "-N", "8")
+    _no_child_left()
+
+
+def test_verify_on_a_short_main_table_exits_2_before_any_output(tmp_path, fork):
+    path = tmp_path / "short.json"
+    path.write_text(serialize(preset("torus", max_power=3)))
+    assert run_cli("verify", "--input", str(path), "-N", "5") == (
+        2,
+        "",
+        "error: hilb_series needs h^(p,q)(S, L^k) for every k <= 5, but the "
+        "table stops at K=3: k=4 is missing\n",
+    )
+    _no_child_left()
+
+
 _NO_DEFORMATION = "SKIP (dataset carries no deformation block)"
 _NOT_OMEGA_TRIVIAL = "SKIP (table does not describe a trivial canonical bundle)"
 # statuses of deformation-closed-forms and deformation-omega-trivial at N=4;
@@ -473,9 +598,11 @@ def test_closed_stdout_exits_quietly():
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # every command is a fresh interpreter, so these imports are paid per
     # command; pytest has loaded both modules already, hence the subprocess
+    # verify forks its one child by hand: no process-pool or pickling module
     probe = (
-        "import sys, hilbhodge.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "import sys, hilbhodge.cli; print(' '.join(m for m in ('dataclasses', "
+        "'inspect', 'multiprocessing', 'concurrent', 'pickle', 'subprocess') "
+        "if m in sys.modules))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
