@@ -40,10 +40,11 @@ flags, order flags, further options, and ``--format`` choices and default.
 
 Exit codes: 0 success, 1 parse/validation errors (a missing or unreadable
 ``--input`` file is one, as is one that is not UTF-8 text, and the message
-names the flag), 2 insufficient twisted powers in the table, 3 a verify
-check failed, 141 the reader closed stdout before the output ended
-(128 + SIGPIPE, as a shell reports for a process that a closed pipe
-stopped); nothing is printed to stderr then.
+names the flag; a bad value names its field, as ``diamonds[1]: ...``),
+2 insufficient twisted powers in the table (a short ``nested_diamonds``
+is named), 3 a verify check failed, 141 the reader closed stdout before
+the output ended (128 + SIGPIPE, as a shell reports for a process that a
+closed pipe stopped); nothing is printed to stderr then.
 """
 
 from __future__ import annotations
@@ -132,13 +133,12 @@ def _render(poly: HodgePolynomial, n: int, fmt: str) -> str:
     return _RENDERERS[fmt](poly, n)
 
 
-def _series_yt_payload(series: TriSeries, trunc: int) -> list[dict]:
+def _series_yt_payload(series: TriSeries) -> list[dict]:
     out = []
-    for n in range(trunc + 1):
-        poly = series.coefficient_of_t(n)
+    for n, layer in enumerate(series.layers()):
         terms = [
             {"y": ey, "c": int(c)}
-            for (_, ey), c in sorted(poly.items(), key=lambda kv: kv[0][1])
+            for (_, ey), c in sorted(layer.items(), key=lambda kv: kv[0][1])
         ]
         out.append({"t": n, "terms": terms})
     return out
@@ -176,21 +176,19 @@ def _cmd_hilb(args: argparse.Namespace) -> int:
         print(_render(poly, args.n, fmt))
         return 0
     ds = _dataset(args, args.N)
-    series = engine.hilb_series(ds.table, args.N)
+    layers = engine.hilb_series(ds.table, args.N).layers()
     if fmt == "json":
         payload = {
             "N": args.N,
             "coefficients": [
-                json.loads(
-                    render_json(HodgePolynomial(series.coefficient_of_t(n), 2 * n), n)
-                )
-                for n in range(args.N + 1)
+                json.loads(render_json(HodgePolynomial(layer, 2 * n), n))
+                for n, layer in enumerate(layers)
             ],
         }
         print(json.dumps(payload, indent=2))
     else:
-        for n in range(args.N + 1):
-            poly = HodgePolynomial(series.coefficient_of_t(n), 2 * n)
+        for n, layer in enumerate(layers):
+            poly = HodgePolynomial(layer, 2 * n)
             print(f"t^{n}:")
             print(_render(poly, n, fmt))
     return 0
@@ -209,7 +207,8 @@ def _cmd_sym(args: argparse.Namespace) -> int:
 
 def _cmd_nested(args: argparse.Namespace) -> int:
     ds = _dataset(args, args.n)
-    poly = engine.nested_coefficient(ds.table, ds.nested_or_main(), args.n)
+    llp = _nested_table(ds, args.n, "nested", InsufficientPowers)
+    poly = engine.nested_coefficient(ds.table, llp, args.n)
     print(_render(poly, args.n, args.format))
     return 0
 
@@ -226,11 +225,11 @@ def _cmd_chiy(args: argparse.Namespace) -> int:
         # no method field: the three routes must be byte-identical
         payload = {
             "N": args.N,
-            "coefficients": _series_yt_payload(series, args.N),
+            "coefficients": _series_yt_payload(series),
         }
         print(json.dumps(payload, indent=2))
     else:
-        for entry in _series_yt_payload(series, args.N):
+        for entry in _series_yt_payload(series):
             pieces = []
             for t in entry["terms"]:
                 if not t["y"]:
@@ -244,10 +243,8 @@ def _cmd_chiy(args: argparse.Namespace) -> int:
 
 def _cmd_betti(args: argparse.Namespace) -> int:
     ds = _dataset(args, args.N)
-    series = engine.betti_series(ds.betti, args.N)
     rows = []
-    for n in range(args.N + 1):
-        layer = series.coefficient_of_t(n)
+    for n, layer in enumerate(engine.betti_series(ds.betti, args.N).layers()):
         b = [int(layer.get((i, 0), 0)) for i in range(4 * n + 1)]
         rows.append({"t": n, "b": b})
     if args.format == "json":
@@ -302,24 +299,30 @@ class _CheckSkipped(Exception):
     pass
 
 
-def _disagreement(n: int, name: str, got: dict, want: dict) -> _CheckFailed:
-    """The failure naming the first entry where two layers differ."""
-    key = min(k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0))
-    return _CheckFailed(
-        f"paths disagree at n={n}, {name}={key}: "
-        f"{got.get(key, 0)} != {want.get(key, 0)}"
-    )
-
-
-def _first_difference(got: TriSeries, want: TriSeries, name: str, axis: int) -> None:
-    """Raise the first disagreement of two series in (x, t) (axis 0) or (y, t) (1)."""
-    if got == want:
-        return
-    for n in range(got.trunc_t + 1):
-        a = {key[axis]: c for key, c in got.coefficient_of_t(n).items()}
-        b = {key[axis]: c for key, c in want.coefficient_of_t(n).items()}
+def _compare_layers(got: list[dict], want: list[dict], name: str) -> None:
+    """Fail at the first ``name`` (bidegree, degree or power) where two t-layer lists differ."""
+    for n, (a, b) in enumerate(zip(got, want)):
         if a != b:
-            raise _disagreement(n, name, a, b)
+            key = min(k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0))
+            raise _CheckFailed(
+                f"paths disagree at n={n}, {name}={key}: {a.get(key, 0)} != {b.get(key, 0)}"
+            )
+
+
+def _axis_layers(series: TriSeries, axis: int) -> list[dict[int, int]]:
+    """The t-layers of a series in (x, t) (axis 0) or (y, t) (axis 1), keyed by that power."""
+    return [{key[axis]: c for key, c in layer.items()} for layer in series.layers()]
+
+
+def _nested_table(ds: SurfaceDataset, needed: int, who: str, error: type) -> TwistedTable:
+    """The L^j x L' table, or ``error`` if ``nested_diamonds`` stops below ``needed``."""
+    llp = ds.nested_or_main()
+    if llp.max_power < needed <= ds.table.max_power:  # a short main table is the engine's
+        raise error(
+            f"nested_diamonds stops at K={llp.max_power}, {who} needs "
+            f"every k <= {needed}: k={llp.max_power + 1} is missing"
+        )
+    return llp
 
 
 def _start_series(table: TwistedTable, N: int) -> Callable[[], TriSeries | EngineError]:
@@ -370,54 +373,44 @@ def _verify_checks(ds: SurfaceDataset, N: int):
     table = ds.table
 
     def product_vs_partition():
-        strata = engine.hilb_strata(table, N)
-
-        def compare(series: TriSeries, layers: list[HodgePolynomial]) -> None:
-            for n, (got, want) in enumerate(zip(layers, strata)):
-                if got != want:
-                    raise _disagreement(n, "(p, q)", dict(got.items()), dict(want.items()))
-        return compare
+        strata = [dict(poly.items()) for poly in engine.hilb_strata(table, N)]
+        return lambda series, layers: _compare_layers(
+            [dict(poly.items()) for poly in layers], strata, "(p, q)"
+        )
 
     def chi_y_three_way():
-        by_product = engine.chi_y_product(table, N)
-        _first_difference(by_product, engine.chi_y_exp(table, N), "y", 1)
-        hodge = engine.chi_y_from_hodge_series
-        return lambda series, layers: _first_difference(by_product, hodge(series), "y", 1)
+        by_product = _axis_layers(engine.chi_y_product(table, N), 1)
+        _compare_layers(by_product, _axis_layers(engine.chi_y_exp(table, N), 1), "y")
+        return lambda series, layers: _compare_layers(
+            by_product, _axis_layers(engine.chi_y_from_hodge_series(series), 1), "y"
+        )
 
     def frolicher():
         if not table.is_constant():
             raise _CheckSkipped("table is not a trivial-bundle table")
-        betti = engine.betti_series(ds.betti, N)
-        # b_i(Hilb^n) = sum_{p+q=i} h^{p,q}(Hilb^n): both series live in (x, t)
-        return lambda series, layers: _first_difference(
-            series.substitute({"y": "x"}), betti, "i", 0
+        betti = _axis_layers(engine.betti_series(ds.betti, N), 0)
+        # b_i(Hilb^n) = sum_{p+q=i} h^{p,q}(Hilb^n), layer by layer
+        return lambda series, layers: _compare_layers(
+            [{i: b for i, b in enumerate(poly.collapse_total_degree()) if b} for poly in layers],
+            betti,
+            "i",
         )
 
     def hochschild_two_path():
         rhs = engine.hh_rhs_series(table, N)
-
-        def compare(series: TriSeries, layers: list[HodgePolynomial]) -> None:
-            for n, poly in enumerate(layers):
-                got, want = poly.collapse_hodge_degree(), engine.hh_from_rhs(rhs, n)
-                if got != want:
-                    raise _disagreement(n, "i", got, want)
-        return compare
+        want = [engine.hh_from_rhs(rhs, n) for n in range(N + 1)]
+        return lambda series, layers: _compare_layers(
+            [poly.collapse_hodge_degree() for poly in layers], want, "i"
+        )
 
     def nested_two_path() -> None:
-        llp = ds.nested_or_main()
         depth = min(N, 4)
-        # the main table reaches N, so only a short nested_diamonds stops here
-        if llp.max_power < depth:
-            raise _CheckSkipped(
-                f"nested_diamonds stops at K={llp.max_power}, the check needs "
-                f"every k <= {depth}: k={llp.max_power + 1} is missing"
-            )
-        nested = engine.nested_series(table, llp, depth)
-        for n in range(depth + 1):
-            got = HodgePolynomial(nested.coefficient_of_t(n), 2 * n + 2)
-            want = engine.nested_via_strata(table, llp, n)
-            if got != want:
-                raise _disagreement(n, "(p, q)", dict(got.items()), dict(want.items()))
+        llp = _nested_table(ds, depth, "the check", _CheckSkipped)
+        _compare_layers(
+            engine.nested_series(table, llp, depth).layers(),
+            [dict(engine.nested_via_strata(table, llp, n).items()) for n in range(depth + 1)],
+            "(p, q)",
+        )
 
     def deformation_closed() -> None:
         if ds.deformation is None:
@@ -502,7 +495,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shared = receive()  # reads the pipe to its end and reaps the child
     failed = isinstance(shared, EngineError)
     if not failed:
-        layers = [HodgePolynomial(shared.coefficient_of_t(n), 2 * n) for n in range(args.N + 1)]
+        layers = [HodgePolynomial(layer, 2 * n) for n, layer in enumerate(shared.layers())]
     failures: list[str] = []
     for name, (status, compare) in steps:
         if compare is not None:

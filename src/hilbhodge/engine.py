@@ -34,9 +34,10 @@ nested spaces one fold per marked partition (:func:`nested_via_strata`);
 the integer log-derivative recurrence of
 :meth:`~hilbhodge.series.TriSeries.exp`.
 ``verify`` expands ``hilb_series(table, N)`` once, in a second process
-(in process without ``os.fork``; same output); *shared* marks the sides
-that read it: its t-layers, its substitution y -> x, or its
-specialisation :func:`chi_y_from_hodge_series` (see :func:`chi_y_from_hodge`).
+(in process without ``os.fork``; same output), and splits it into
+t-layers once; *shared* marks the sides that read them: the layers, their
+collapse along p + q or q - p, or the per-layer specialisation
+:func:`chi_y_from_hodge_series` (see :func:`chi_y_from_hodge`).
 
 ========================= ============================== =============================
 identity                  one side                       other side(s)
@@ -48,8 +49,10 @@ product-vs-partition      hilb_series (shared): Euler,   hilb_strata: strata, pa
 chi-y-three-way           chi_y_product: Euler           chi_y_exp: exp;
                                                          chi_y_from_hodge_series
                                                          (shared): Euler
-frolicher                 hilb_series (shared): Euler    betti_series: Euler
-hochschild-two-path       hilb_series (shared): Euler    hh_rhs_series: Euler
+frolicher                 hilb_series (shared), p + q    betti_series: Euler
+                          collapse per layer: Euler
+hochschild-two-path       hilb_series (shared), q - p    hh_rhs_series: Euler
+                          collapse per layer: Euler
 nested-two-path           nested_series: Euler           nested_via_strata: strata
 deformation-closed-forms  deformation_dims: Sym tables   closed binomial forms
 deformation-omega-trivial deformation_dims: Sym tables   tangent_dims_from_layer
@@ -557,8 +560,17 @@ def chi_y_from_hodge(table: TwistedTable, trunc_t: int) -> TriSeries:
 
 
 def chi_y_from_hodge_series(series: TriSeries) -> TriSeries:
-    """:func:`chi_y_from_hodge` of an already expanded :func:`hilb_series`."""
-    return series.substitute({"x": "-y", "y": -1})
+    """:func:`chi_y_from_hodge` of an already expanded :func:`hilb_series`.
+
+    Layer by layer, x^p y^q goes to (-y)^p (-1)^q: the t^n coefficient is
+    sum (-1)^(p+q) h^{p,q} y^p over the layer's terms.
+    """
+    terms: dict[tuple[int, int, int], int] = {}
+    for n, layer in enumerate(series.layers()):
+        for (p, q), h in layer.items():
+            key = (0, p, n)
+            terms[key] = terms.get(key, 0) + (-1) ** (p + q) * h
+    return TriSeries(terms, series.trunc_t)
 
 
 # -- Betti numbers ------------------------------------------------------------

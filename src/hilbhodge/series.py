@@ -7,7 +7,7 @@ order ``trunc_t = N``.  Coefficients are Python ints, with
 :class:`fractions.Fraction` entering only through ``exp``; floats and
 bools are rejected outright.  The layer of one power of t,
 :meth:`TriSeries.coefficient_of_t`, is a plain ``{(e_x, e_y): coeff}``
-dict.
+dict; :meth:`TriSeries.layers` splits off all of them in one pass.
 
 Values are immutable after construction and every operation is a pure
 function, so series can be shared freely across threads and coefficients
@@ -29,7 +29,6 @@ __all__ = [
     "SeriesError",
     "TriSeries",
     "TruncationExceeded",
-    "UnsupportedSubstitution",
 ]
 
 
@@ -39,10 +38,6 @@ class SeriesError(Exception):
 
 class BadConstantTerm(SeriesError):
     """exp applied to a series with a nonzero t^0 layer."""
-
-
-class UnsupportedSubstitution(SeriesError):
-    """Substitution target outside the supported sign/rename fragment."""
 
 
 class TruncationExceeded(SeriesError):
@@ -252,63 +247,14 @@ class TriSeries:
             self.trunc_t,
         )
 
-    # -- specialization and extraction -----------------------------------
+    # -- extraction --------------------------------------------------------
 
-    def substitute(self, assignment: Mapping[str, int | str]) -> "TriSeries":
-        """Substitute x and/or y by a constant (0, 1, -1) or a signed variable.
-
-        Supported targets: the ints 0, 1, -1 and the strings
-        ``"x"``, ``"y"``, ``"-x"``, ``"-y"``.  Substitutions are applied
-        simultaneously, so ``{"x": "y", "y": "x"}`` swaps the variables.
-        """
-        signed = {"x": (1, "x"), "y": (1, "y"), "-x": (-1, "x"), "-y": (-1, "y")}
-        plans: dict[str, tuple[int, str | None]] = {}
-        for var in ("x", "y"):
-            target = assignment.get(var, var)
-            if isinstance(target, bool):
-                raise UnsupportedSubstitution(f"unsupported target {target!r}")
-            if isinstance(target, int):
-                if target not in (-1, 0, 1):
-                    raise UnsupportedSubstitution(
-                        f"constant target must be 0 or +-1, got {target}"
-                    )
-                plans[var] = (target, None)
-            elif target in signed:
-                plans[var] = signed[target]
-            else:
-                raise UnsupportedSubstitution(f"unsupported target {target!r}")
-        for key in assignment:
-            if key not in ("x", "y"):
-                raise UnsupportedSubstitution(f"cannot substitute variable {key!r}")
-        acc: dict[Monomial, Coefficient] = {}
-        for (ex, ey, et), coeff in self._terms.items():
-            nx = ny = 0
-            dead = False
-            for exponent, (sign, slot) in ((ex, plans["x"]), (ey, plans["y"])):
-                if not exponent:
-                    continue
-                if slot is None:
-                    if sign == 0:
-                        dead = True
-                        break
-                    if sign == -1 and exponent % 2:
-                        coeff = -coeff
-                else:
-                    if sign == -1 and exponent % 2:
-                        coeff = -coeff
-                    if slot == "x":
-                        nx += exponent
-                    else:
-                        ny += exponent
-            if dead:
-                continue
-            key = (nx, ny, et)
-            total = acc.get(key, 0) + coeff
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        return TriSeries._make(acc, self.trunc_t)
+    def layers(self) -> list[dict[tuple[int, int], Coefficient]]:
+        """Every t-layer in one pass: entry n is :meth:`coefficient_of_t` of n."""
+        out = [{} for _ in range(self.trunc_t + 1)]
+        for (ex, ey, et), value in self._terms.items():
+            out[et][(ex, ey)] = value
+        return out
 
     def coefficient_of_t(self, n: int) -> dict[tuple[int, int], Coefficient]:
         """The exact (x, y)-polynomial multiplying t^n: an (e_x, e_y) -> coeff dict."""

@@ -270,7 +270,10 @@ def _parse_diamonds(raw, what: str) -> TwistedTable:
             or any(not isinstance(row, list) or len(row) != 3 for row in grid)
         ):
             raise SchemaError(f"{what}[{k}] is not a 3x3 grid")
-        diamonds.append(SurfaceDiamond(grid))
+        try:
+            diamonds.append(SurfaceDiamond(grid))
+        except ValidationError as exc:
+            raise ValidationError(f"{what}[{k}]: {exc}") from None
     return TwistedTable(diamonds)
 
 
@@ -315,7 +318,10 @@ def load_dataset(source: str | os.PathLike) -> SurfaceDataset:
         connected = raw.get("connected", True)
         if not isinstance(connected, bool):
             raise SchemaError("deformation.connected must be a bool")
-        deformation = DeformationInput(triple("hT"), triple("hO"), triple("hW2"), connected)
+        try:
+            deformation = DeformationInput(triple("hT"), triple("hO"), triple("hW2"), connected)
+        except ValidationError as exc:
+            raise ValidationError(f"deformation.{exc}") from None
 
     kahler = obj.get("kahler_symmetric", False)
     if not isinstance(kahler, bool):

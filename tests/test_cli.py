@@ -289,11 +289,12 @@ def test_verify_chi_y_failure_names_the_first_differing_power(monkeypatch):
         "chi-y-three-way: FAIL (paths disagree at n=2, y=3: 42 != 43)"
     )
     monkeypatch.setattr(engine, "chi_y_exp", chi_y_exp)
+    chi_y_from_hodge_series = engine.chi_y_from_hodge_series
     monkeypatch.setattr(  # the Hodge specialisation, checked second
         engine,
         "chi_y_from_hodge_series",
         lambda series: TriSeries({(0, 1, 2): -1}, series.trunc_t)
-        + series.substitute({"x": "-y", "y": -1}),
+        + chi_y_from_hodge_series(series),
     )
     code, out, err = run_cli("verify", "--preset", "k3", "-N", "4")
     assert (code, err) == (3, "")
@@ -520,6 +521,47 @@ def test_validation_error_exits_1(tmp_path):
     code, _, err = run_cli("hilb", "--input", str(path), "-n", "0")
     assert code == 1
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("diamonds", -3, "diamonds[1]: diamond entries must be nonnegative, got -3"),
+        ("diamonds", 1.5, "diamonds[1]: diamond entries must be ints, got 1.5"),
+        ("nested_diamonds", -3, "nested_diamonds[1]: diamond entries must be nonnegative, got -3"),
+        ("nested_diamonds", 1.5, "nested_diamonds[1]: diamond entries must be ints, got 1.5"),
+        ("deformation", -3, "deformation.hT entries must be nonnegative ints"),
+    ],
+    ids=["diamonds-negative", "diamonds-float", "nested-negative", "nested-float", "deformation"],
+)
+def test_dataset_value_errors_name_their_field(tmp_path, field, value, message):
+    obj = json.loads(serialize(preset("torus", max_power=2)))
+    obj["nested_diamonds"] = json.loads(json.dumps(obj["diamonds"]))
+    if field == "deformation":
+        obj["deformation"]["hT"][1] = value
+    else:
+        obj[field][1][1][1] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("hilb", "--input", str(path), "-n", "1") == (1, "", f"error: {message}\n")
+
+
+def test_nested_on_a_short_nested_table_names_the_field(tmp_path):
+    obj = json.loads(serialize(preset("torus", max_power=3)))
+    obj["nested_diamonds"] = obj["diamonds"][:2]
+    path = tmp_path / "short_nested.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("nested", "--input", str(path), "-n", "3") == (
+        2,
+        "",
+        "error: nested_diamonds stops at K=1, nested needs every k <= 3: k=2 is missing\n",
+    )
+    # a main table short of n keeps the engine's message, as before
+    obj["max_power"], obj["diamonds"] = 1, obj["diamonds"][:2]
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("nested", "--input", str(path), "-n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: nested_series needs ")
 
 
 def test_missing_file_exits_1(tmp_path):

@@ -1,4 +1,4 @@
-"""Series ring: arithmetic, exp, substitution; the Euler factors built on it."""
+"""Series ring: arithmetic, exp, t-layers; the Euler factors built on it."""
 
 from fractions import Fraction
 
@@ -12,7 +12,6 @@ from hilbhodge.series import (
     BadConstantTerm,
     TriSeries,
     TruncationExceeded,
-    UnsupportedSubstitution,
 )
 
 ONE = TriSeries.one(4)
@@ -184,51 +183,6 @@ def test_exp_requires_vanishing_constant():
         X.exp()  # t-degree 0 but x-degree 1
 
 
-# -- substitution ----------------------------------------------------------------
-
-
-def test_substitute_x_to_one():
-    s = ONE + X * T
-    assert s.substitute({"x": 1}) == ONE + T
-
-
-def test_substitute_swap():
-    s = TriSeries({(2, 1, 1): 1, (0, 0, 0): 1}, 4)
-    assert s.substitute({"x": "y", "y": "x"}) == TriSeries(
-        {(1, 2, 1): 1, (0, 0, 0): 1}, 4
-    )
-
-
-def test_substitute_y_to_minus_one():
-    s = ONE + Y * T
-    assert s.substitute({"y": -1}) == ONE_MINUS_T
-
-
-def test_substitute_x_to_minus_y():
-    s = TriSeries({(2, 0, 1): 3, (1, 0, 0): 1}, 4)
-    got = s.substitute({"x": "-y"})
-    assert got == TriSeries({(0, 2, 1): 3, (0, 1, 0): -1}, 4)
-
-
-def test_substitute_to_zero_kills_x_terms():
-    s = ONE + X * T + T
-    assert s.substitute({"x": 0}) == ONE + T
-
-
-def test_substitute_merges_terms():
-    s = TriSeries({(1, 0, 1): 1, (0, 1, 1): -1}, 4)
-    assert s.substitute({"y": "x"}) == TriSeries.zero(4)
-
-
-def test_substitute_rejects_general_targets():
-    with pytest.raises(UnsupportedSubstitution):
-        ONE.substitute({"x": 2})
-    with pytest.raises(UnsupportedSubstitution):
-        ONE.substitute({"x": "t"})
-    with pytest.raises(UnsupportedSubstitution):
-        ONE.substitute({"t": 1})
-
-
 # -- coefficient extraction --------------------------------------------------------
 
 
@@ -240,6 +194,25 @@ def test_coefficient_of_t_picks_diagonal():
 def test_coefficient_of_t_out_of_range():
     with pytest.raises(TruncationExceeded):
         ONE.coefficient_of_t(5)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        TriSeries.zero(0),
+        TriSeries.one(0),
+        TriSeries({(1, 2, 0): -3, (0, 0, 0): 1}, 0),
+        TriSeries.zero(3),
+        ONE + X * T,  # layers 2..4 empty
+        TriSeries({(2, 1, 3): 5, (0, 0, 0): 1, (1, 1, 3): Fraction(1, 2)}, 4),
+        TriSeries({(n, n, n): 1 for n in range(5)}, 4),
+    ],
+    ids=repr,
+)
+def test_layers_are_every_coefficient_of_t(series):
+    layers = series.layers()
+    assert len(layers) == series.trunc_t + 1
+    assert layers == [series.coefficient_of_t(n) for n in range(series.trunc_t + 1)]
 
 
 # -- the Euler product builder ------------------------------------------------------------------
