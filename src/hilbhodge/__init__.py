@@ -10,8 +10,9 @@ Hilb^{n,n+1} S.
 
 The package namespace holds the calls of the README's library example,
 their result types and the error types; every other name is imported
-from its submodule (``hilbhodge.engine``, ``hilbhodge.series``,
-``hilbhodge.surfaces``, ``hilbhodge.partitions``, ``hilbhodge.oracles``).
+from its submodule (``hilbhodge.engine``, ``hilbhodge.strata``,
+``hilbhodge.series``, ``hilbhodge.surfaces``, ``hilbhodge.partitions``,
+``hilbhodge.oracles``, ``hilbhodge.verify``).
 """
 
 from .engine import (
@@ -21,9 +22,16 @@ from .engine import (
     IntegralityFailure,
     hilb_coefficient,
     hilb_series,
-    hilb_via_partitions,
 )
 from .series import SeriesError, TriSeries
 from .surfaces import SurfaceDataError, SurfaceDataset, preset
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the partition route loads hilbhodge.strata on first use (PEP 562)
+    if name == "hilb_via_partitions":
+        from .strata import hilb_via_partitions
+        return hilb_via_partitions
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,26 +11,8 @@ Subcommands::
     deform  tangent/obstruction dimensions h^q(Hilb^n S, T)
     verify  self-validation: every two-path identity on the given data
 
-A failing ``verify`` check prints ``FAIL (reason)``; when the two sides
-of product-vs-partition, chi-y-three-way, frolicher, hochschild-two-path
-or nested-two-path differ, the reason names the first differing entry,
-the Euler-product side first (for frolicher and hochschild-two-path, the
-side read from the main Hodge series; chi-y-three-way compares
-chi_y_product with the exp route, then with the Hodge specialisation):
-``paths disagree at n=2, (p, q)=(2, 2): 232 != 233`` (``i=...`` for a
-Betti or Hochschild degree, ``y=...`` for a chi_y power).  oracle-suite checks
-the symmetric powers of the k=1 diamond against brute-force enumeration
-on a sub-diamond that keeps every nonzero bidegree and at most 12
-generators in all.
-A ``verify`` check whose input the dataset does not carry reports
-``SKIP (reason)`` and the other checks still run; among the reasons are a
-missing deformation block, a twisted table where a check needs the trivial
-bundle, N < 3 for deformation-omega-trivial, and a ``nested_diamonds``
-shorter than min(N, 4) + 1 entries for nested-two-path (the reason names
-the missing power).  A main table that stops below N is exit 2 before any
-check.  ``verify`` expands the shared ``hilb_series(N)`` in a forked child
-while it computes the other sides; a failure there fails each check that
-reads that series.  Without ``os.fork`` it runs in process, same output.
+``verify`` is :func:`hilbhodge.verify.run`, whose module describes its output;
+a main table that stops below N is exit 2 before any check.
 An ``--input`` dataset that declares ``kahler_symmetric`` but has an
 asymmetric diamond prints ``warning: ...`` to stderr; stdout and the exit
 code are those of the same dataset without the flag.
@@ -51,21 +33,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import marshal
 import os
 import sys
 from collections.abc import Callable
 
 from . import engine
-from .engine import EngineError, HodgePolynomial, InsufficientPowers
-from .oracles import naive_mul, super_sym_multiset
+from .engine import HodgePolynomial, InsufficientPowers
 from .series import SeriesError, TriSeries
 from .surfaces import (
     PRESET_NAMES,
     SurfaceDataError,
     SurfaceDataset,
-    SurfaceDiamond,
-    TwistedTable,
     load_dataset,
     preset,
     validate,
@@ -207,7 +185,7 @@ def _cmd_sym(args: argparse.Namespace) -> int:
 
 def _cmd_nested(args: argparse.Namespace) -> int:
     ds = _dataset(args, args.n)
-    llp = _nested_table(ds, args.n, "nested", InsufficientPowers)
+    llp = engine._nested_table(ds, args.n, "nested", InsufficientPowers)
     poly = engine.nested_coefficient(ds.table, llp, args.n)
     print(_render(poly, args.n, args.format))
     return 0
@@ -291,223 +269,11 @@ def _cmd_deform(args: argparse.Namespace) -> int:
     return 0
 
 
-class _CheckFailed(Exception):
-    pass
-
-
-class _CheckSkipped(Exception):
-    pass
-
-
-def _compare_layers(got: list[dict], want: list[dict], name: str) -> None:
-    """Fail at the first ``name`` (bidegree, degree or power) where two t-layer lists differ."""
-    for n, (a, b) in enumerate(zip(got, want)):
-        if a != b:
-            key = min(k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0))
-            raise _CheckFailed(
-                f"paths disagree at n={n}, {name}={key}: {a.get(key, 0)} != {b.get(key, 0)}"
-            )
-
-
-def _axis_layers(series: TriSeries, axis: int) -> list[dict[int, int]]:
-    """The t-layers of a series in (x, t) (axis 0) or (y, t) (axis 1), keyed by that power."""
-    return [{key[axis]: c for key, c in layer.items()} for layer in series.layers()]
-
-
-def _nested_table(ds: SurfaceDataset, needed: int, who: str, error: type) -> TwistedTable:
-    """The L^j x L' table, or ``error`` if ``nested_diamonds`` stops below ``needed``."""
-    llp = ds.nested_or_main()
-    if llp.max_power < needed <= ds.table.max_power:  # a short main table is the engine's
-        raise error(
-            f"nested_diamonds stops at K={llp.max_power}, {who} needs "
-            f"every k <= {needed}: k={llp.max_power + 1} is missing"
-        )
-    return llp
-
-
-def _start_series(table: TwistedTable, N: int) -> Callable[[], TriSeries | EngineError]:
-    """Expand ``engine.hilb_series(table, N)`` in a forked child; return its receiver.
-
-    The child pipes the terms, or its exception's message, with ``marshal``
-    and leaves by ``os._exit``, so it never returns into its caller's frames
-    or flushes an inherited stdio buffer.  The receiver reads the pipe to its
-    end, reaps the child and returns the series, or an ``EngineError`` with
-    the child's message or exit status.  Without ``os.fork`` it runs in process.
-    """
-
-    def payload() -> bytes:
-        try:
-            return marshal.dumps(engine.hilb_series(table, N)._terms)
-        except Exception as exc:  # the receiver returns it as an EngineError
-            return marshal.dumps(str(exc))
-
-    def decode(data: bytes, code: int) -> TriSeries | EngineError:
-        if code:
-            return EngineError(f"hilb_series ended without a result (exit status {code})")
-        terms = marshal.loads(data)
-        return EngineError(terms) if isinstance(terms, str) else TriSeries._make(terms, N)
-
-    if not hasattr(os, "fork"):
-        return lambda: decode(payload(), 0)
-    fd, write_fd = os.pipe()
-    pid = os.fork()
-    if not pid:
-        try:
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload())
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(write_fd)
-
-    def receive() -> TriSeries | EngineError:
-        with open(fd, "rb") as pipe:
-            data = pipe.read()
-        return decode(data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-
-    return receive
-
-
-def _verify_checks(ds: SurfaceDataset, N: int):
-    """Checks in order: each computes its side, then returns None or its comparison."""
-    table = ds.table
-
-    def product_vs_partition():
-        strata = [dict(poly.items()) for poly in engine.hilb_strata(table, N)]
-        return lambda series, layers: _compare_layers(
-            [dict(poly.items()) for poly in layers], strata, "(p, q)"
-        )
-
-    def chi_y_three_way():
-        by_product = _axis_layers(engine.chi_y_product(table, N), 1)
-        _compare_layers(by_product, _axis_layers(engine.chi_y_exp(table, N), 1), "y")
-        return lambda series, layers: _compare_layers(
-            by_product, _axis_layers(engine.chi_y_from_hodge_series(series), 1), "y"
-        )
-
-    def frolicher():
-        if not table.is_constant():
-            raise _CheckSkipped("table is not a trivial-bundle table")
-        betti = _axis_layers(engine.betti_series(ds.betti, N), 0)
-        # b_i(Hilb^n) = sum_{p+q=i} h^{p,q}(Hilb^n), layer by layer
-        return lambda series, layers: _compare_layers(
-            [{i: b for i, b in enumerate(poly.collapse_total_degree()) if b} for poly in layers],
-            betti,
-            "i",
-        )
-
-    def hochschild_two_path():
-        rhs = engine.hh_rhs_series(table, N)
-        want = [engine.hh_from_rhs(rhs, n) for n in range(N + 1)]
-        return lambda series, layers: _compare_layers(
-            [poly.collapse_hodge_degree() for poly in layers], want, "i"
-        )
-
-    def nested_two_path() -> None:
-        depth = min(N, 4)
-        llp = _nested_table(ds, depth, "the check", _CheckSkipped)
-        _compare_layers(
-            engine.nested_series(table, llp, depth).layers(),
-            [dict(engine.nested_via_strata(table, llp, n).items()) for n in range(depth + 1)],
-            "(p, q)",
-        )
-
-    def deformation_closed() -> None:
-        if ds.deformation is None:
-            raise _CheckSkipped("dataset carries no deformation block")
-        if not ds.deformation.connected or ds.deformation.hO[0] != 1:
-            raise _CheckSkipped("closed forms assume a connected surface")
-        dims = engine.deformation_dims(ds.deformation, 3, 2)
-        closed = engine.deformation_closed_forms(ds.deformation, 3)
-        if (dims[0], dims[1], dims[2]) != closed:
-            raise _CheckFailed(f"n=3 dims {tuple(dims.values())} != closed {closed}")
-
-    def deformation_omega_trivial():
-        # a trivial-bundle table whose deformation block claims a trivial
-        # canonical bundle (h^*(w2 T) = h^{0,*})
-        din = ds.deformation
-        if din is None or not table.is_constant() or din.hW2 != din.hO:
-            raise _CheckSkipped("table does not describe a trivial canonical bundle")
-        if N < 3:
-            raise _CheckSkipped("needs N >= 3")
-        formulas = {n: engine.deformation_dims(din, n, 3) for n in (2, 3)}
-
-        def compare(series: TriSeries, layers: list[HodgePolynomial]) -> None:
-            for n, formula in formulas.items():
-                column = engine.tangent_dims_from_layer(layers[n], 3)
-                if formula != column:
-                    raise _CheckFailed(f"n={n}: formula {formula} != series column {column}")
-        return compare
-
-    def oracle_suite() -> None:
-        a = engine.hilb_series(table, min(N, 3))
-        if naive_mul(a, a) != a * a:
-            raise _CheckFailed("naive multiplication oracle disagrees")
-        # the k=1 diamond with every nonzero bidegree kept and at most 12
-        # generators in all (the enumeration guard of super_sym_multiset):
-        # one per bidegree, then the rest in (p, q) order
-        full = table.diamond(min(1, table.max_power)).bigraded()
-        dims = dict.fromkeys(full, 1)
-        spare = 12 - len(dims)
-        for pq, v in sorted(full.items()):
-            extra = min(v - 1, spare)
-            dims[pq] += extra
-            spare -= extra
-        capped = SurfaceDiamond([[dims.get((p, q), 0) for q in range(3)] for p in range(3)])
-        for n in range(4):
-            sym = engine.sym_power_twisted_hodge(capped, n)
-            if dict(sym.items()) != super_sym_multiset(dims, n):
-                raise _CheckFailed(f"symmetric-power oracle disagrees at n={n}")
-
-    return [
-        ("product-vs-partition", product_vs_partition),
-        ("chi-y-three-way", chi_y_three_way),
-        ("frolicher", frolicher),
-        ("hochschild-two-path", hochschild_two_path),
-        ("nested-two-path", nested_two_path),
-        ("deformation-closed-forms", deformation_closed),
-        ("deformation-omega-trivial", deformation_omega_trivial),
-        ("oracle-suite", oracle_suite),
-    ]
-
-
-def _attempt(step: Callable, *args) -> tuple[str, Callable | None]:
-    """PASS, ``SKIP (reason)`` or ``FAIL (reason)``, and what ``step`` returned."""
-    try:
-        result = step(*args)
-    except _CheckSkipped as skip:
-        return f"SKIP ({skip})", None
-    except InsufficientPowers:
-        raise
-    except (_CheckFailed, EngineError) as exc:
-        return f"FAIL ({exc})", None
-    return "PASS", result
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     ds = _dataset(args, args.N)
-    engine._require_powers(ds.table, args.N, "hilb_series")
-    receive = _start_series(ds.table, args.N)
-    try:
-        # each check's own side, while the child expands the shared series
-        steps = [(name, _attempt(check)) for name, check in _verify_checks(ds, args.N)]
-    finally:
-        shared = receive()  # reads the pipe to its end and reaps the child
-    failed = isinstance(shared, EngineError)
-    if not failed:
-        layers = [HodgePolynomial(layer, 2 * n) for n, layer in enumerate(shared.layers())]
-    failures: list[str] = []
-    for name, (status, compare) in steps:
-        if compare is not None:
-            status = f"FAIL ({shared})" if failed else _attempt(compare, shared, layers)[0]
-        print(f"{name}: {status}")
-        if status.startswith("FAIL"):
-            failures.append(name)
-    if failures:
-        print(f"verification FAILED; first failing check: {failures[0]}")
-        return 3
-    print("all checks passed")
-    return 0
+    engine._require_powers(ds.table, args.N, "hilb_series")  # exit 2 before the fork
+    from . import verify  # loaded for this command only
+    return verify.run(ds, args.N)
 
 
 # -- argument parsing -----------------------------------------------------------

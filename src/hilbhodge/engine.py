@@ -6,46 +6,37 @@ associated Hilbert schemes ``Hilb^n S`` carrying the naturally induced
 line bundle.  Each quantity is computable along two independent routes:
 
 * a multiplicative route, an Euler product expanded in
-  :class:`~hilbhodge.series.TriSeries`;
+  :class:`~hilbhodge.series.TriSeries` (this module);
 * an additive route, a sum over integer partitions of super symmetric
-  powers of the surface table, evaluated one part size at a time.
+  powers of the surface table (:mod:`hilbhodge.strata`, whose names
+  resolve here too and load that module on first use).
 
-The two routes must agree exactly; ``verify``-style callers and the test
-suite exercise that agreement on arbitrary tables.
+The two routes must agree exactly; ``verify`` (:mod:`hilbhodge.verify`)
+and the test suite exercise that agreement on arbitrary tables.
 
-Routes of each ``verify`` identity and the kernel on each side.  *Euler*
-is the one super-symmetric product builder ``_super_product``: it takes
-the generators (e_x, e_y, parity, multiplicity) of each level k, writes
-each factor (1 -+ x^e_x y^e_y t^k)^(-+h) out as its binomial series,
-every coefficient got from the one before by an exact integer ratio, and
+Routes of each ``verify`` identity and the kernel on each side; an
+unqualified name is in this module.  *Euler* is the one super-symmetric
+product builder ``_super_product``: it takes the generators (e_x, e_y,
+parity, multiplicity) of each level k, writes each factor
+(1 -+ x^e_x y^e_y t^k)^(-+h) out as its binomial series, every
+coefficient got from the one before by an exact integer ratio, and
 multiplies the factors by sparse dict convolution
 (``TriSeries.__mul__``); :func:`hilb_series`, :func:`chi_y_product`,
 :func:`betti_series` and :func:`hh_rhs_series` are four calls to it with
-their own generators.  *strata* is packed ints, binomial Sym tables, no
-TriSeries: every bivariate polynomial is one nonnegative int (Kronecker
-substitution), each Sym^a table of the k-th diamond is a product of the
-closed-form binomials C(h+j-1, j) of an even generator and C(h, j) of an
-odd one (``math.comb``), and a product is one int multiply: for the main
-series one pass per part size k folds every Sym^a table of the k-th
-diamond into the layers of all n <= N (:func:`hilb_strata`), for the
-nested spaces one fold per marked partition (:func:`nested_via_strata`);
-*Sym tables* is the same binomial kernel alone, behind
-:func:`sym_power_twisted_hodge` and :func:`deformation_dims`; *exp* is
-the integer log-derivative recurrence of
+their own generators.  *strata* is the packed-int kernel of
+:mod:`hilbhodge.strata`: binomial Sym tables, one int multiply per
+product, no TriSeries; *Sym tables* is its binomial kernel alone; *exp*
+is the integer log-derivative recurrence of
 :meth:`~hilbhodge.series.TriSeries.exp`.
-``verify`` expands ``hilb_series(table, N)`` once, in a second process
-(in process without ``os.fork``; same output), and splits it into
-t-layers once; *shared* marks the sides that read them: the layers, their
+*shared* marks the sides that read the t-layers of the one
+``hilb_series(table, N)`` that ``verify`` expands: the layers, their
 collapse along p + q or q - p, or the per-layer specialisation
 :func:`chi_y_from_hodge_series` (see :func:`chi_y_from_hodge`).
 
-========================= ============================== =============================
+========================= ============================== ================================
 identity                  one side                       other side(s)
-========================= ============================== =============================
-product-vs-partition      hilb_series (shared): Euler,   hilb_strata: strata, packed
-                          ratio-built factors, dict      int multiplies of comb
-                          convolution                    tables, one pass per part
-                                                         size
+========================= ============================== ================================
+product-vs-partition      hilb_series (shared): Euler    strata.hilb_strata: strata
 chi-y-three-way           chi_y_product: Euler           chi_y_exp: exp;
                                                          chi_y_from_hodge_series
                                                          (shared): Euler
@@ -53,18 +44,18 @@ frolicher                 hilb_series (shared), p + q    betti_series: Euler
                           collapse per layer: Euler
 hochschild-two-path       hilb_series (shared), q - p    hh_rhs_series: Euler
                           collapse per layer: Euler
-nested-two-path           nested_series: Euler           nested_via_strata: strata
-deformation-closed-forms  deformation_dims: Sym tables   closed binomial forms
-deformation-omega-trivial deformation_dims: Sym tables   tangent_dims_from_layer
-                                                         (shared): Euler
-oracle-suite              TriSeries.__mul__,             naive_mul,
-                          sym_power_twisted_hodge of     super_sym_multiset
-                          the k=1 diamond capped at 12
-                          generators
-========================= ============================== =============================
+nested-two-path           nested_series: Euler           strata.nested_via_strata: strata
+deformation-closed-forms  strata.deformation_dims: Sym   strata.deformation_closed_forms
+                          tables
+deformation-omega-trivial strata.deformation_dims: Sym   tangent_dims_from_layer
+                          tables                         (shared): Euler
+oracle-suite              series.TriSeries.__mul__,      oracles.naive_mul,
+                          strata.sym_power_twisted_hodge oracles.super_sym_multiset
+                          of the capped k=1 diamond
+========================= ============================== ================================
 
-The Euler side calls none of the strata helpers (``_sym_layers``,
-``_pack``, ``_unpack``, ``_slot_bits``) and no ``math.comb``, so
+The Euler side imports nothing from :mod:`hilbhodge.strata` (a test
+checks that the four Euler builders leave it unloaded), so
 product-vs-partition compares two kernels that share no code.
 frolicher and hochschild-two-path run the Euler builder on both sides
 (``hilb_series`` against ``betti_series`` or ``hh_rhs_series``, other
@@ -80,12 +71,9 @@ compares the shared series with itself.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from fractions import Fraction
-from math import comb
 
-from .partitions import nested_index_set
 from .series import TriSeries, _exact, _format_terms
-from .surfaces import DeformationInput, SurfaceDiamond, TwistedTable
+from .surfaces import SurfaceDataset, TwistedTable
 
 GradedDims = dict[int, int]
 # (e_x, e_y, odd, h): h generators of bidegree (e_x, e_y); odd is 1 or 0
@@ -119,6 +107,20 @@ __all__ = [
     "tangent_dims_from_layer",
 ]
 
+# the strata route lives in hilbhodge.strata, loaded on first use (PEP 562)
+_STRATA_NAMES = frozenset((
+    "_pack", "_slot_bits", "_strata", "_sym_graded", "_sym_layers", "_sym_terms", "_unpack",
+    "deformation_closed_forms", "deformation_dims", "hilb_strata", "hilb_via_partitions",
+    "nested_via_strata", "sn_invariant_tangent", "sym_power_twisted_hodge",
+))
+
+
+def __getattr__(name: str):
+    if name in _STRATA_NAMES:
+        from . import strata
+        return getattr(strata, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class EngineError(Exception):
     """Base class for computation errors."""
@@ -140,6 +142,17 @@ def _require_powers(table: TwistedTable, needed: int, operation: str) -> None:
         )
 
 
+def _nested_table(ds: SurfaceDataset, needed: int, who: str, error: type) -> TwistedTable:
+    """The L^j x L' table, or ``error`` if ``nested_diamonds`` stops below ``needed``."""
+    llp = ds.nested_or_main()
+    if llp.max_power < needed <= ds.table.max_power:  # a short main table fails later
+        raise error(
+            f"nested_diamonds stops at K={llp.max_power}, {who} needs "
+            f"every k <= {needed}: k={llp.max_power + 1} is missing"
+        )
+    return llp
+
+
 class HodgePolynomial:
     """Twisted Hodge numbers of one fixed space: a finite (p, q) -> dim map."""
 
@@ -151,7 +164,7 @@ class HodgePolynomial:
         clean: dict[tuple[int, int], int] = {}
         for (p, q), value in terms.items():
             value = _exact(value)
-            if isinstance(value, Fraction):
+            if not isinstance(value, int):  # a Fraction
                 raise IntegralityFailure(
                     f"non-integral dimension {value} at (p, q)=({p}, {q})"
                 )
@@ -220,100 +233,6 @@ class HodgePolynomial:
         )
 
 
-# -- super symmetric powers ----------------------------------------------
-#
-# The Sym tables of the strata route are packed polynomials: one
-# nonnegative int holding the coefficient of x^p y^q in the ``slot``-bit
-# slot number ``p * width + q``.  A product of two packed polynomials is
-# one int multiply, exact while every coefficient of the product and of
-# its factors fits a slot and every q-degree stays below ``width``
-# (Kronecker substitution; all coefficients here are dimensions, so no
-# sign ever borrows across a slot).  Each caller sizes the slot from an
-# exact bound: a coefficient never exceeds its polynomial's value at
-# x = y = 1, and those totals are computed in plain ints first.
-
-
-def _slot_bits(bound: int) -> int:
-    """Bits per slot for coefficients <= ``bound``, rounded up to whole bytes."""
-    return 8 * max(1, (bound.bit_length() + 7) // 8)
-
-
-def _pack(terms: Mapping[tuple[int, int], int], width: int, slot: int) -> int:
-    return sum(v << (p * width + q) * slot for (p, q), v in terms.items())
-
-
-def _unpack(packed: int, width: int, slot: int) -> dict[tuple[int, int], int]:
-    """The (p, q) -> coefficient map of a packed polynomial, in one byte pass."""
-    size = slot // 8
-    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-    terms = {}
-    for start in range(0, len(raw), size):
-        value = int.from_bytes(raw[start : start + size], "little")
-        if value:
-            terms[divmod(start // size, width)] = value
-    return terms
-
-
-def _sym_layers(
-    dims: Mapping[tuple[int, int], int], top: int, width: int, slot: int
-) -> list[int]:
-    """Packed Sym^a of a bigraded super space for a = 0..top.
-
-    V has v_{p,q} generators in bidegree (p, q), odd when p + q is odd.
-    Sym(V) is the tensor product over bidegrees of Sym of an even space
-    (C(v+j-1, j) monomials of degree j) or of an exterior algebra
-    (C(v, j)), each generator's monomial x^{pj} y^{qj} at slot shift
-    ``j * (p * width + q) * slot``; the layers are convolved in t.  With
-    ``width = slot = 0`` every monomial sits at x = y = 1 and the layers
-    are the plain dimensions of Sym^a.
-    """
-    layers = [1] + [0] * top
-    for (p, q), v in sorted(dims.items()):
-        if not v:
-            continue
-        if (p + q) % 2:
-            coeffs = [comb(v, j) for j in range(min(v, top) + 1)]
-        else:
-            coeffs = [comb(v + j - 1, j) for j in range(top + 1)]
-        shift = (p * width + q) * slot
-        layers = [
-            sum(
-                layers[a - j] * coeffs[j] << j * shift
-                for j in range(min(a, len(coeffs) - 1) + 1)
-            )
-            for a in range(top + 1)
-        ]
-    return layers
-
-
-def _sym_terms(
-    dims: Mapping[tuple[int, int], int], top: int
-) -> list[dict[tuple[int, int], int]]:
-    """The (p, q) -> dim maps of Sym^a of a bigraded super space, a = 0..top."""
-    if top < 0:
-        raise ValueError("truncation order must be nonnegative")
-    for (p, q), v in dims.items():
-        if v < 0:
-            raise ValueError("dimensions must be nonnegative")
-        if p < 0 or q < 0:
-            raise ValueError(f"negative degree in {(p, q)}")
-    width = top * max((max(pq) for pq, v in dims.items() if v), default=0) + 1
-    slot = _slot_bits(max(_sym_layers(dims, top, 0, 0)))
-    return [_unpack(layer, width, slot) for layer in _sym_layers(dims, top, width, slot)]
-
-
-def sym_power_twisted_hodge(diamond: SurfaceDiamond, a: int) -> HodgePolynomial:
-    """Twisted Hodge numbers of the a-th symmetric power of a surface.
-
-    The table of ``Sym^a`` of the surface cohomology, a space of complex
-    dimension 2a; ``a = 0`` is a point and ``a = 1`` returns the diamond
-    itself.
-    """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    return HodgePolynomial(_sym_terms(diamond.bigraded(), a)[a], 2 * a)
-
-
 # -- the super-symmetric Euler product ---------------------------------------
 
 
@@ -348,9 +267,6 @@ def _super_product(
     return result
 
 
-# -- the main Euler product and its partition-sum twin ---------------------
-
-
 def hilb_series(table: TwistedTable, trunc_t: int) -> TriSeries:
     """Three-variable series of twisted Hodge numbers of all Hilb^n S, n <= N.
 
@@ -371,59 +287,6 @@ def hilb_series(table: TwistedTable, trunc_t: int) -> TriSeries:
 def hilb_coefficient(table: TwistedTable, n: int) -> HodgePolynomial:
     """Twisted Hodge numbers of Hilb^n S via the product route."""
     return HodgePolynomial(hilb_series(table, n).coefficient_of_t(n), 2 * n)
-
-
-def _strata(table: TwistedTable, n: int, width: int, slot: int) -> list[int]:
-    """Packed stratum sums of every layer m <= n, one pass per part size.
-
-    A partition (1^a1 ... r^ar) of m has diagonal shift
-    m - len = sum_k (k-1) a_k, so its strata sum to the t^m coefficient
-    of prod_k sum_a Sym^a(k-th diamond) (xy)^{(k-1)a} t^{ka}.  Pass k
-    multiplies factor k in: acc[m] += acc[m - ka] Sym^a, shifted by
-    (k-1) a diagonal slots, with m descending so acc[m - ka] lacks part k.
-    With ``width = slot = 0`` each layer is its value at x = y = 1; that
-    bounds every coefficient of every partial product, since all terms are
-    nonnegative and a partial product is a sub-sum of its final layer.
-    """
-    diagonal = (width + 1) * slot
-    acc = [1] + [0] * n
-    for k in range(1, n + 1):
-        row = _sym_layers(table.diamond(k).bigraded(), n // k, width, slot)
-        for m in range(n, k - 1, -1):
-            for a in range(1, m // k + 1):
-                acc[m] += acc[m - k * a] * row[a] << (k - 1) * a * diagonal
-    return acc
-
-
-def hilb_strata(table: TwistedTable, trunc_t: int) -> list[HodgePolynomial]:
-    """Twisted Hodge numbers of Hilb^n S for every n <= N via the stratum sum.
-
-    The stratum of a partition (1^a1 ... r^ar) of n contributes the
-    product of the symmetric-power tables Sym^{a_k} of the k-th twisted
-    diamond, shifted by n - len in both p and q.  The sum over partitions
-    is evaluated one part size at a time (:func:`_strata`): once at
-    x = y = 1 for the slot width, then packed (layer n lives in
-    [0, 2n]^2, so width = 2N + 1), where a product is one int multiply and
-    the shift by (xy)^s is a left shift by s * (width + 1) slots.
-    Entry n must agree exactly with :func:`hilb_coefficient`.
-    """
-    _require_powers(table, trunc_t, "hilb_strata")
-    width = 2 * trunc_t + 1
-    slot = _slot_bits(max(_strata(table, trunc_t, 0, 0)))
-    return [
-        HodgePolynomial(_unpack(layer, width, slot), 2 * n)
-        for n, layer in enumerate(_strata(table, trunc_t, width, slot))
-    ]
-
-
-def hilb_via_partitions(table: TwistedTable, n: int) -> HodgePolynomial:
-    """Twisted Hodge numbers of Hilb^n S via the partition-indexed sum.
-
-    Entry n of :func:`hilb_strata`; must agree exactly with
-    :func:`hilb_coefficient`.
-    """
-    _require_powers(table, n, "hilb_via_partitions")
-    return hilb_strata(table, n)[n]
 
 
 # -- nested Hilbert schemes ------------------------------------------------
@@ -458,47 +321,6 @@ def nested_coefficient(
     )
 
 
-def nested_via_strata(
-    table_l: TwistedTable, table_llp: TwistedTable, n: int
-) -> HodgePolynomial:
-    """Twisted Hodge numbers of Hilb^{n, n+1} S via the stratum sum.
-
-    Strata are indexed by pairs (partition of n, marked part j): j = 0
-    keeps all symmetric-power factors and tensors the residual surface
-    with L'; marking a part j > 0 drops one copy of it (Sym^{a_j - 1})
-    and the residual surface carries L^j x L'.  The j = 0 strata shift
-    the bigrading by n - len, the marked ones by n - len + 1.
-    """
-    _require_powers(table_l, n, "nested_via_strata")
-    _require_powers(table_llp, n, "nested_via_strata (residual bundle)")
-    residuals = [table_llp.diamond(j).bigraded() for j in range(n + 1)]
-    totals = _strata(table_l, n, 0, 0)
-    # a marked stratum of layer m is a residual times a stratum of layer m - j
-    nested_totals = [
-        sum(totals[m - j] * sum(residuals[j].values()) for j in range(m + 1))
-        for m in range(n + 1)
-    ]
-    width = 2 * n + 3
-    slot = _slot_bits(max(totals + nested_totals))
-    sym_tables = [[]] + [
-        _sym_layers(table_l.diamond(k).bigraded(), n // k, width, slot)
-        for k in range(1, n + 1)
-    ]
-    acc = 0
-    for lam, j in nested_index_set(n):
-        mults = list(lam.mults)
-        shift = n - lam.length
-        if j:
-            shift += 1
-            mults[j - 1] -= 1
-        product = _pack(residuals[j], width, slot)
-        for k, a in enumerate(mults, start=1):
-            if a:
-                product *= sym_tables[k][a]
-        acc += product << shift * (width + 1) * slot
-    return HodgePolynomial(_unpack(acc, width, slot), 2 * n + 2)
-
-
 # -- chi_y genera along three routes ---------------------------------------
 
 
@@ -525,6 +347,7 @@ def chi_y_exp(table: TwistedTable, trunc_t: int) -> TriSeries:
     over exact rationals; the result must collapse to integers, and a
     failure to do so raises :class:`IntegralityFailure`.
     """
+    from fractions import Fraction
     _require_powers(table, trunc_t, "chi_y_exp")
     arg: dict[tuple[int, int, int], Fraction] = {}
     for m in range(1, trunc_t + 1):
@@ -632,89 +455,6 @@ def hh_from_rhs(series: TriSeries, n: int) -> GradedDims:
 
 
 # -- deformation theory ------------------------------------------------------
-
-
-def _sym_graded(triple: tuple[int, int, int], m: int) -> GradedDims:
-    """Super symmetric power Sym^m of a single-graded space in degrees 0..2.
-
-    Used for H^*(S^{(m)}, O) = Sym^m H^{0,*}(S); degree-1 generators are
-    odd, the others even.  Sym^0 is one dimension in degree 0.
-    """
-    dims = {(0, j): v for j, v in enumerate(triple) if v}
-    return {ey: v for (_, ey), v in _sym_terms(dims, m)[m].items()}
-
-
-def sn_invariant_tangent(din: DeformationInput, n: int) -> GradedDims:
-    """Graded dimensions of the invariant tangent cohomology of S^n.
-
-    Expanded as H^*(S, T_S) tensor Sym^{n-1} H^{0,*}(S): the tangent
-    sheaf of the n-fold product is the sum of the pullbacks from the
-    factors, and the invariants reduce to the stabilizer of one factor.
-    For n = 1 this is just hT.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    sym = _sym_graded(din.hO, n - 1)
-    out: GradedDims = {}
-    for a, v in enumerate(din.hT):
-        if not v:
-            continue
-        for d, w in sym.items():
-            out[a + d] = out.get(a + d, 0) + v * w
-    return out
-
-
-def deformation_dims(din: DeformationInput, n: int, qmax: int = 3) -> GradedDims:
-    """Dimensions h^q(Hilb^n S, tangent sheaf) for q = 0..qmax.
-
-    For n >= 2 this sums the invariant tangent cohomology of S^n with
-    three shifted contributions H^{q-s}(S^{(n-2)}, O) x h^{s-1}(wedge^2 T_S),
-    s = 1, 2, 3; negative-degree cohomology is zero and S^{(0)} is a
-    point.  n = 1 returns hT and n = 0 is identically zero.
-    """
-    if n < 0 or qmax < 0:
-        raise ValueError("n and qmax must be nonnegative")
-    if n == 0:
-        return {q: 0 for q in range(qmax + 1)}
-    if n == 1:
-        return {q: (din.hT[q] if q < 3 else 0) for q in range(qmax + 1)}
-    snt = sn_invariant_tangent(din, n)
-    sym_o = _sym_graded(din.hO, n - 2)
-    out: GradedDims = {}
-    for q in range(qmax + 1):
-        total = snt.get(q, 0)
-        for s, w2 in enumerate(din.hW2, start=1):
-            total += sym_o.get(q - s, 0) * w2
-        out[q] = total
-    return out
-
-
-def deformation_closed_forms(din: DeformationInput, n: int) -> tuple[int, int, int]:
-    """The stable closed forms for h^0, h^1, h^2 of the tangent cohomology.
-
-    h0 = h^0(T), h1 = h^1(T) + h^0(T) h^1(O) + h^0(w2T) and h2 adds the
-    obstruction terms including dim Lambda^2 H^1(O) = C(h^1(O), 2).
-    Exact for every connected surface once n >= 3; at n = 2 the terms
-    h^0(T) C(h^1(O), 2) and h^1(O) h^0(w2T) are not yet present in
-    :func:`deformation_dims` (the symmetric power S^{(0)} is a point),
-    so the closed h2 can overshoot there.
-    """
-    if n < 2:
-        raise ValueError("closed forms apply to n >= 2")
-    if not din.connected:
-        raise ValueError("closed forms assume a connected surface")
-    hT, hO, hW2 = din.hT, din.hO, din.hW2
-    h0 = hT[0]
-    h1 = hT[1] + hT[0] * hO[1] + hW2[0]
-    h2 = (
-        hT[2]
-        + hT[1] * hO[1]
-        + hT[0] * hO[2]
-        + hT[0] * comb(hO[1], 2)
-        + hO[1] * hW2[0]
-        + hW2[1]
-    )
-    return (h0, h1, h2)
 
 
 def tangent_dims_from_layer(poly: HodgePolynomial, qmax: int = 3) -> GradedDims:

@@ -17,9 +17,7 @@ of independent t-orders can be consumed in parallel.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 
-Coefficient = int | Fraction
 Monomial = tuple[int, int, int]
 
 __all__ = [
@@ -30,6 +28,14 @@ __all__ = [
     "TriSeries",
     "TruncationExceeded",
 ]
+
+
+def __getattr__(name: str):
+    # Coefficient = int | Fraction, built on first use: fractions loads only then
+    if name == "Coefficient":
+        from fractions import Fraction
+        return int | Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SeriesError(Exception):
@@ -48,6 +54,7 @@ def _exact(value: Coefficient) -> Coefficient:
     """Normalize a coefficient: ints stay ints, integral Fractions collapse."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
+    from fractions import Fraction
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(
@@ -108,7 +115,7 @@ class TriSeries:
             raise ValueError("truncation order must be nonnegative")
         self = object.__new__(cls)
         for key, value in terms.items():
-            if isinstance(value, Fraction) and value.denominator == 1:
+            if type(value) is not int and value.denominator == 1:  # an integral Fraction
                 terms[key] = value.numerator
         self._terms = terms
         self.trunc_t = trunc_t
@@ -178,10 +185,11 @@ class TriSeries:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
         if not isinstance(other, TriSeries):
-            return NotImplemented
+            if isinstance(other, int):
+                return self._scale(other)
+            from fractions import Fraction
+            return self._scale(other) if isinstance(other, Fraction) else NotImplemented
         trunc = min(self.trunc_t, other.trunc_t)
         a, b = self._terms, other._terms
         if len(a) > len(b):
@@ -217,6 +225,7 @@ class TriSeries:
 
     def exp(self) -> "TriSeries":
         """Exponential of a series supported in t-degree >= 1."""
+        from fractions import Fraction
         if any(et == 0 for (_, _, et) in self._terms):
             raise BadConstantTerm("exp requires every term to have e_t >= 1")
         # F = exp(A) solves t F' = (t A') F, that is n F_n = sum_j (j A_j) F_{n-j}
@@ -266,7 +275,4 @@ class TriSeries:
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(
-            not isinstance(v, Fraction) or v.denominator == 1
-            for v in self._terms.values()
-        )
+        return all(v.denominator == 1 for v in self._terms.values())

@@ -1,12 +1,18 @@
-"""Shared helpers: random tables, an Euler-factor oracle, a capture-safe CLI runner."""
+"""Shared helpers: random tables, an Euler-factor oracle, a capture-safe CLI runner,
+a fresh-interpreter probe."""
 
 from __future__ import annotations
 
 import io
 import operator
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from random import Random
 
+import hilbhodge
 from hilbhodge.cli import main as cli_main
 from hilbhodge.series import TriSeries
 from hilbhodge.surfaces import SurfaceDiamond, TwistedTable
@@ -70,3 +76,26 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse errors
             code = exc.code if isinstance(exc.code, int) else 1
     return code, out.getvalue(), err.getvalue()
+
+
+def src_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package's source."""
+    env = dict(os.environ)
+    src = str(Path(hilbhodge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def fresh_interpreter(code: str) -> tuple[str, set[str]]:
+    """Run ``code`` in a fresh interpreter; its stdout and its ``sys.modules`` at the end.
+
+    Each command is a fresh interpreter, so what it imports is paid per
+    command; the test process has loaded every module already.
+    """
+    probe = f"{code}\nimport sys\nprint('modules:', *sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=src_env(), timeout=60, check=True,
+    )
+    out, _, modules = done.stdout.rpartition("modules: ")
+    return out, set(modules.split())

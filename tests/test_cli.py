@@ -6,15 +6,12 @@ import marshal
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
-from conftest import run_cli
+from conftest import fresh_interpreter, run_cli, src_env
 from test_cli_golden import GOLDEN, TWISTED
 
-import hilbhodge
-
-from hilbhodge import cli, engine
+from hilbhodge import engine, verify
 from hilbhodge.cli import render_diamond, render_latex
 from hilbhodge.engine import HodgePolynomial, IntegralityFailure, hilb_coefficient
 from hilbhodge.oracles import super_sym_multiset
@@ -313,7 +310,7 @@ def test_verify_oracle_suite_runs_on_a_large_diamond(monkeypatch):
         table = super_sym_multiset(dims, n)
         return {**table, (0, 0): table.get((0, 0), 0) + 1} if n == 3 else table
 
-    monkeypatch.setattr(cli, "super_sym_multiset", wrong)
+    monkeypatch.setattr(verify, "super_sym_multiset", wrong)
     code, out, err = run_cli("verify", "--preset", "k3", "-N", "4")
     assert (code, err) == (3, "")
     assert out.splitlines()[-2:] == [
@@ -614,20 +611,12 @@ def test_sym_negative_bundle_power_exits_1():
     assert "argument -k: must be nonnegative, got -1" in err
 
 
-def _src_env() -> dict[str, str]:
-    """The environment of a fresh interpreter that imports this package's source."""
-    env = dict(os.environ)
-    src = str(Path(hilbhodge.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return env
-
-
 def test_closed_stdout_exits_quietly():
     # about 220 kB of output, well beyond a pipe's buffer
     argv = [sys.executable, "-m", "hilbhodge.cli"]
     argv += ["hilb", "--preset", "torus", "-N", "12"]
     with subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env()
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env()
     ) as proc:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
@@ -638,16 +627,24 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # every command is a fresh interpreter, so these imports are paid per
-    # command; pytest has loaded both modules already, hence the subprocess
+    # each command runs as ``python -m hilbhodge.cli`` runs it, as __main__;
     # verify forks its one child by hand: no process-pool or pickling module
-    probe = (
-        "import sys, hilbhodge.cli; print(' '.join(m for m in ('dataclasses', "
-        "'inspect', 'multiprocessing', 'concurrent', 'pickle', 'subprocess') "
-        "if m in sys.modules))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, env=_src_env(), timeout=60, check=True,
-    )
-    assert done.stdout == "\n"
+    never = {"dataclasses", "inspect", "multiprocessing", "concurrent", "pickle", "subprocess"}
+    lazy = {
+        "fractions", "decimal", "hilbhodge.verify", "hilbhodge.oracles",
+        "hilbhodge.partitions", "hilbhodge.strata",
+    }
+    for argv, loads in (
+        (["hilb", "--preset", "k3", "-n", "2"], set()),
+        (["sym", "--preset", "k3", "-a", "2"], {"hilbhodge.strata"}),
+        (["verify", "--preset", "k3", "-N", "3"], lazy),
+    ):
+        out, modules = fresh_interpreter(
+            f"import runpy, sys\nsys.argv = ['hilbhodge', *{argv!r}]\n"
+            "try:\n    runpy.run_module('hilbhodge.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n    print('exit', exc.code)"
+        )
+        assert out.endswith("exit 0\n"), argv
+        assert modules & (never | lazy) == loads, argv
+        # a module that imported the CLI would compile and run it a second time
+        assert "hilbhodge.cli" not in modules, argv
