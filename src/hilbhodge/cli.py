@@ -115,7 +115,7 @@ def _series_yt_payload(series: TriSeries) -> list[dict]:
     out = []
     for n, layer in enumerate(series.layers()):
         terms = [
-            {"y": ey, "c": int(c)}
+            {"y": ey, "c": c}
             for (_, ey), c in sorted(layer.items(), key=lambda kv: kv[0][1])
         ]
         out.append({"t": n, "terms": terms})
@@ -223,7 +223,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
     ds = _dataset(args, args.N)
     rows = []
     for n, layer in enumerate(engine.betti_series(ds.betti, args.N).layers()):
-        b = [int(layer.get((i, 0), 0)) for i in range(4 * n + 1)]
+        b = [layer.get((i, 0), 0) for i in range(4 * n + 1)]
         rows.append({"t": n, "b": b})
     if args.format == "json":
         print(json.dumps({"N": args.N, "coefficients": rows}, indent=2))

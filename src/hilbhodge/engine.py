@@ -26,8 +26,9 @@ multiplies the factors by sparse dict convolution
 their own generators.  *strata* is the packed-int kernel of
 :mod:`hilbhodge.strata`: binomial Sym tables, one int multiply per
 product, no TriSeries; *Sym tables* is its binomial kernel alone; *exp*
-is the integer log-derivative recurrence of
-:meth:`~hilbhodge.series.TriSeries.exp`.
+is the log-derivative recurrence n F_n = sum_j D_j F_(n-j) of
+:func:`_exp_layers`, run on ``{y power: int}`` dicts and divided exactly
+by n, with no TriSeries arithmetic.
 *shared* marks the sides that read the t-layers of the one
 ``hilb_series(table, N)`` that ``verify`` expands: the layers, their
 collapse along p + q or q - p, or the per-layer specialisation
@@ -131,7 +132,7 @@ class InsufficientPowers(EngineError):
 
 
 class IntegralityFailure(EngineError):
-    """An exp-route result failed to collapse to integers (an internal bug)."""
+    """The exp route's division by n left a remainder (an internal bug)."""
 
 
 def _require_powers(table: TwistedTable, needed: int, operation: str) -> None:
@@ -163,11 +164,7 @@ class HodgePolynomial:
             raise ValueError("space_dim must be nonnegative")
         clean: dict[tuple[int, int], int] = {}
         for (p, q), value in terms.items():
-            value = _exact(value)
-            if not isinstance(value, int):  # a Fraction
-                raise IntegralityFailure(
-                    f"non-integral dimension {value} at (p, q)=({p}, {q})"
-                )
+            _exact(value)
             if value == 0:
                 continue
             if value < 0:
@@ -343,33 +340,60 @@ def chi_y_product(table: TwistedTable, trunc_t: int) -> TriSeries:
 def chi_y_exp(table: TwistedTable, trunc_t: int) -> TriSeries:
     """Refined chi_y series through the exponential form.
 
-    exp( sum_m t^m/m sum_k (t y)^{(k-1) m} chi_{-y^m}(S, L^k) ) expanded
-    over exact rationals; the result must collapse to integers, and a
-    failure to do so raises :class:`IntegralityFailure`.
+    The series is exp(A), A = sum_m t^m/m sum_k (t y)^{(k-1) m} chi_{-y^m}(S, L^k).
+    The t^j layer of t A', D_j = j A_j, is integral: with j = k m its
+    terms are k (-1)^p chi(S, Omega^p x L^k) y^{m (k-1+p)}.
+    :func:`_exp_layers` expands exp(A) from those layers in ints and raises
+    :class:`IntegralityFailure` if a coefficient is not an integer.
     """
-    from fractions import Fraction
     _require_powers(table, trunc_t, "chi_y_exp")
-    arg: dict[tuple[int, int, int], Fraction] = {}
-    for m in range(1, trunc_t + 1):
-        for k in range(1, trunc_t // m + 1):
-            d = table.diamond(k)
-            offset = (k - 1) * m
-            for p in range(3):
-                chi = d.chi_column(p)
-                if not chi:
-                    continue
-                key = (0, offset + m * p, k * m)
-                value = arg.get(key, Fraction(0)) + Fraction((-1) ** p * chi, m)
-                if value:
-                    arg[key] = value
-                else:
-                    arg.pop(key, None)
-    series = TriSeries(arg, trunc_t).exp()
-    if not series.is_integral():
-        raise IntegralityFailure(
-            "chi_y exponential route produced non-integer coefficients"
-        )
-    return series
+    weighted: list[dict[int, int]] = [{} for _ in range(trunc_t + 1)]
+    for k in range(1, trunc_t + 1):
+        d = table.diamond(k)
+        for p in range(3):
+            c = k * (-1) ** p * d.chi_column(p)
+            if not c:
+                continue
+            for m in range(1, trunc_t // k + 1):
+                layer, e = weighted[k * m], m * (k - 1 + p)
+                layer[e] = layer.get(e, 0) + c
+    return TriSeries(
+        {
+            (0, e, n): c
+            for n, layer in enumerate(_exp_layers(weighted))
+            for e, c in layer.items()
+        },
+        trunc_t,
+    )
+
+
+def _exp_layers(weighted: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The t-layers F_0..F_N of F = exp(sum_j D_j t^j / j), as ``{y power: int}``.
+
+    ``weighted[j]`` is D_j for j = 1..N (entry 0 is not read).  F solves
+    t F' = (sum_j D_j t^j) F, that is n F_n = sum_{j=1..n} D_j F_{n-j}: an
+    int for int layers, which must divide by n exactly.  The first layer
+    where it does not raises :class:`IntegralityFailure`.
+    """
+    layers = [{0: 1}]
+    for n in range(1, len(weighted)):
+        acc: dict[int, int] = {}
+        for j in range(1, n + 1):
+            previous = layers[n - j].items()
+            for a, av in weighted[j].items():
+                for f, fv in previous:
+                    acc[a + f] = acc.get(a + f, 0) + av * fv
+        layer = {}
+        for e, v in acc.items():
+            q, r = divmod(v, n)
+            if r:
+                raise IntegralityFailure(
+                    "chi_y exponential route produced non-integer coefficients"
+                )
+            if q:
+                layer[e] = q
+        layers.append(layer)
+    return layers
 
 
 def chi_y_from_hodge(table: TwistedTable, trunc_t: int) -> TriSeries:
@@ -450,7 +474,7 @@ def hh_from_rhs(series: TriSeries, n: int) -> GradedDims:
     for i in range(-2 * n, 2 * n + 1):
         value = series.coefficient(0, i + 2 * n, n)
         if value:
-            out[i] = int(value)
+            out[i] = value
     return out
 
 

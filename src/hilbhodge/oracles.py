@@ -63,7 +63,7 @@ def super_sym_multiset(
 def naive_mul(a: TriSeries, b: TriSeries) -> TriSeries:
     """Schoolbook convolution product; the reference for TriSeries.__mul__."""
     trunc = min(a.trunc_t, b.trunc_t)
-    terms: dict[tuple[int, int, int], object] = {}
+    terms: dict[tuple[int, int, int], int] = {}
     for (ax, ay, at), av in a.sorted_terms():
         for (bx, by, bt), bv in b.sorted_terms():
             if at + bt > trunc:

@@ -277,13 +277,10 @@ def _parse_diamonds(raw, what: str) -> TwistedTable:
     return TwistedTable(diamonds)
 
 
-def load_dataset(source: str | os.PathLike) -> SurfaceDataset:
-    """Load a dataset from a JSON file path or from raw JSON text."""
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
+def load_dataset(path: str | os.PathLike) -> SurfaceDataset:
+    """Load a dataset from the JSON file at ``path``; a string is always a path."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

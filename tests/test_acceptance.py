@@ -130,7 +130,7 @@ def test_criterion_05_chi_y_three_way():
         by_exp = chi_y_exp(table, N)  # raises IntegralityFailure on any drift
         by_hodge = chi_y_from_hodge(table, N)
         assert by_product == by_exp == by_hodge, index
-        assert by_exp.is_integral()
+        assert all(type(c) is int for _, c in by_exp.sorted_terms())
     _finish(5, started, 10.0, "23 tables, three chi_y routes identical to t^12")
 
 

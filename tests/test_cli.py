@@ -571,6 +571,19 @@ def test_missing_file_exits_1(tmp_path):
     assert (code, out, err) == (1, "", f"error: --input {tmp_path}: Is a directory\n")
 
 
+def test_input_is_a_path_even_when_it_looks_like_json(tmp_path):
+    # a file name that starts with "{" loads; inline JSON text is a missing file
+    text = json.dumps(json.loads(serialize(preset("k3", max_power=1))))
+    named = tmp_path / "{k3}.json"
+    named.write_text(text)
+    assert run_cli("hilb", "--input", str(named), "-n", "1") == run_cli(
+        "hilb", "--preset", "k3", "-n", "1"
+    )
+    assert run_cli("hilb", "--input", text, "-n", "1") == (
+        1, "", f"error: --input {text}: No such file or directory\n"
+    )
+
+
 def test_non_utf8_input_names_the_flag(tmp_path):
     path = tmp_path / "bin.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -629,14 +642,16 @@ def test_closed_stdout_exits_quietly():
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # each command runs as ``python -m hilbhodge.cli`` runs it, as __main__;
     # verify forks its one child by hand: no process-pool or pickling module
-    never = {"dataclasses", "inspect", "multiprocessing", "concurrent", "pickle", "subprocess"}
-    lazy = {
-        "fractions", "decimal", "hilbhodge.verify", "hilbhodge.oracles",
-        "hilbhodge.partitions", "hilbhodge.strata",
+    # and every coefficient is an int: no command loads fractions
+    never = {
+        "dataclasses", "inspect", "multiprocessing", "concurrent", "pickle", "subprocess",
+        "fractions", "decimal",
     }
+    lazy = {"hilbhodge.verify", "hilbhodge.oracles", "hilbhodge.partitions", "hilbhodge.strata"}
     for argv, loads in (
         (["hilb", "--preset", "k3", "-n", "2"], set()),
         (["sym", "--preset", "k3", "-a", "2"], {"hilbhodge.strata"}),
+        (["chiy", "--preset", "k3", "-N", "3", "--method", "exp"], set()),
         (["verify", "--preset", "k3", "-N", "3"], lazy),
     ):
         out, modules = fresh_interpreter(

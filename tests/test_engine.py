@@ -12,7 +12,6 @@ from hilbhodge import engine
 from hilbhodge.engine import (
     HodgePolynomial,
     InsufficientPowers,
-    IntegralityFailure,
     _super_product,
     _sym_terms,
     betti_series,
@@ -73,12 +72,9 @@ HOPF_HILB2 = {
 
 def test_hodge_polynomial_rejects_non_int_dimensions():
     # a bool would render as "True" in str() and as "h": true in JSON
-    for value in (True, False, 1.0):
+    for value in (True, False, 1.0, Fraction(1, 2), Fraction(2, 2)):
         with pytest.raises(TypeError, match=type(value).__name__):
             HodgePolynomial({(0, 0): value}, 0)
-    with pytest.raises(IntegralityFailure, match="1/2"):
-        HodgePolynomial({(0, 0): Fraction(1, 2)}, 0)
-    assert HodgePolynomial({(0, 0): Fraction(2, 2)}, 0).entry(0, 0) == 1
 
 
 # -- super symmetric powers ----------------------------------------------
@@ -522,7 +518,18 @@ def test_chi_y_three_routes_agree():
         b = chi_y_exp(table, 6)
         c = chi_y_from_hodge(table, 6)
         assert a == b == c
-        assert a.is_integral()
+        assert all(type(v) is int for _, v in b.sorted_terms())
+
+
+def test_exp_route_runs_its_own_kernel(monkeypatch):
+    # chi-y-three-way crosses three kernels only while exp multiplies no TriSeries
+    def banned(*args):
+        raise AssertionError("the exp route reached the Euler kernel")
+
+    expected = chi_y_product(preset("k3", max_power=6).table, 6)
+    monkeypatch.setattr(engine, "_super_product", banned)
+    monkeypatch.setattr(TriSeries, "__mul__", banned)
+    assert chi_y_exp(preset("k3", max_power=6).table, 6) == expected
 
 
 def test_chi_y_hopf_is_trivial():

@@ -41,7 +41,7 @@ def test_guard_rejects_large_spaces():
 def test_naive_mul_identity_and_zero():
     a = TriSeries({(1, 1, 1): 4, (0, 0, 0): 1}, 3)
     one = TriSeries.one(3)
-    zero = TriSeries.zero(3)
+    zero = TriSeries({}, 3)
     assert naive_mul(a, one) == a
     assert naive_mul(zero, a) == zero
 

@@ -1,4 +1,4 @@
-"""Series ring: arithmetic, exp, t-layers; the Euler factors built on it."""
+"""Series ring: arithmetic, t-layers; the Euler factors built on it; the int exp recurrence."""
 
 from fractions import Fraction
 
@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbhodge.engine import _super_product
+from hilbhodge.engine import IntegralityFailure, _exp_layers, _super_product
 from hilbhodge.oracles import naive_mul
-from hilbhodge.series import (
-    BadConstantTerm,
-    TriSeries,
-    TruncationExceeded,
-)
+from hilbhodge.series import TriSeries, TruncationExceeded
 
 ONE = TriSeries.one(4)
 T = TriSeries({(0, 0, 1): 1}, 4)
@@ -40,27 +36,29 @@ def test_constructor_drops_terms_beyond_truncation():
 
 
 def test_constructor_rejects_floats():
-    with pytest.raises(TypeError):
-        TriSeries({(0, 0, 0): 1.5}, 2)
+    # and fractions, an integral one included: coefficients are ints only
+    for value in (1.5, Fraction(1, 2), Fraction(2, 2)):
+        with pytest.raises(TypeError, match=f"got {type(value).__name__}"):
+            TriSeries({(0, 0, 0): value}, 2)
 
 
 def test_constructor_rejects_bools():
     # True is an int subclass; kept, it would print as "True" in str()
     with pytest.raises(TypeError, match="got bool"):
         TriSeries({(0, 0, 0): True}, 2)
-    with pytest.raises(TypeError, match="got bool"):
-        ONE * True
+
+
+def test_no_scalar_multiplication():
+    for scalar in (2, True, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            ONE * scalar
+        with pytest.raises(TypeError):
+            scalar * ONE
 
 
 def test_constructor_rejects_negative_exponents():
     with pytest.raises(ValueError):
         TriSeries({(-1, 0, 0): 1}, 2)
-
-
-def test_integral_fraction_collapses_to_int():
-    s = TriSeries({(0, 0, 0): Fraction(4, 2)}, 1)
-    assert s.coefficient(0, 0, 0) == 2
-    assert isinstance(s.coefficient(0, 0, 0), int)
 
 
 # -- add -------------------------------------------------------------------
@@ -73,7 +71,7 @@ def test_add_cancellation():
 
 def test_add_identity():
     a = TriSeries({(1, 2, 1): 5, (0, 0, 0): -1}, 4)
-    assert a + TriSeries.zero(4) == a
+    assert a + TriSeries({}, 4) == a
 
 
 def test_add_collects_linear_terms():
@@ -159,28 +157,19 @@ def test_pow_negative_equals_invert_of_pow():
     assert factor(1, 0, 1, 1, -3) == want
 
 
-# -- exp / log -----------------------------------------------------------------
+# -- the exp route's recurrence ------------------------------------------------
 
 
 def test_exp_of_t():
-    got = TriSeries({(0, 0, 1): 1}, 3).exp()
-    want = TriSeries(
-        {(0, 0, 0): 1, (0, 0, 1): 1, (0, 0, 2): Fraction(1, 2), (0, 0, 3): Fraction(1, 6)},
-        3,
-    )
-    assert got == want
+    # D_1 = 1 is exp(t) = 1 + t + t^2/2 + ...: integral to t^1, not at t^2
+    assert _exp_layers([{}, {0: 1}]) == [{0: 1}, {0: 1}]
+    with pytest.raises(IntegralityFailure, match="non-integer"):
+        _exp_layers([{}, {0: 1}, {}])
 
 
 def test_exp_of_power_sums_is_geometric():
-    arg = TriSeries({(0, 0, m): Fraction(1, m) for m in range(1, 5)}, 4)
-    assert arg.exp() == geometric(4)
-
-
-def test_exp_requires_vanishing_constant():
-    with pytest.raises(BadConstantTerm):
-        ONE.exp()
-    with pytest.raises(BadConstantTerm):
-        X.exp()  # t-degree 0 but x-degree 1
+    # D_j = 1 for every j: exp(sum_j t^j / j) = 1/(1 - t)
+    assert _exp_layers([{}] + [{0: 1}] * 4) == [{0: 1}] * 5
 
 
 # -- coefficient extraction --------------------------------------------------------
@@ -199,12 +188,12 @@ def test_coefficient_of_t_out_of_range():
 @pytest.mark.parametrize(
     "series",
     [
-        TriSeries.zero(0),
+        TriSeries({}, 0),
         TriSeries.one(0),
         TriSeries({(1, 2, 0): -3, (0, 0, 0): 1}, 0),
-        TriSeries.zero(3),
+        TriSeries({}, 3),
         ONE + X * T,  # layers 2..4 empty
-        TriSeries({(2, 1, 3): 5, (0, 0, 0): 1, (1, 1, 3): Fraction(1, 2)}, 4),
+        TriSeries({(2, 1, 3): 5, (0, 0, 0): 1, (1, 1, 3): -2}, 4),
         TriSeries({(n, n, n): 1 for n in range(5)}, 4),
     ],
     ids=repr,
@@ -270,40 +259,58 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-def horner_exp(a):
-    """exp by N nested full-series multiplications, 1 + a/1 (1 + a/2 (1 + ...))."""
-    one = TriSeries.one(a.trunc_t)
-    result = one
-    for j in range(a.trunc_t, 0, -1):
-        result = one + (a * result) * Fraction(1, j)
-    return result
+def horner_exp(arg, trunc):
+    """exp of a {(e_y, e_t): Fraction} dict by N nested multiplications,
+    1 + arg/1 (1 + arg/2 (1 + ...)), cut at t^trunc; zeros dropped."""
+    result = {(0, 0): Fraction(1)}
+    for j in range(trunc, 0, -1):
+        product = {}
+        for (ae, at), av in arg.items():
+            for (re, rt), rv in result.items():
+                if at + rt <= trunc:
+                    key = (ae + re, at + rt)
+                    product[key] = product.get(key, 0) + av * rv
+        result = {key: v / j for key, v in product.items()}
+        result[(0, 0)] = result.get((0, 0), 0) + 1
+    return {key: v for key, v in result.items() if v}
 
 
 @st.composite
-def fraction_series_st(draw, trunc=4):
-    n_terms = draw(st.integers(0, 6))
-    terms = {}
-    for _ in range(n_terms):
-        key = (
-            draw(st.integers(0, 2)),
-            draw(st.integers(0, 2)),
-            draw(st.integers(1, trunc)),
-        )
-        terms[key] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
-    return TriSeries(terms, trunc)
+def weighted_layers_st(draw):
+    """Int layers D_1..D_N as {e_y: int}, half of them those of an Euler product.
+
+    The product prod_(k, e) (1 - y^e t^k)^(-c) is exp of
+    sum_(k, e, m) c y^(e m) t^(k m) / m, so D_(k m) gains k c at y^(e m):
+    its expansion is integral.  Free draws are mostly not.
+    """
+    trunc = draw(st.integers(1, 5))
+    layers = [{} for _ in range(trunc + 1)]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(0, 4))):
+            k = draw(st.integers(1, trunc))
+            e, c = draw(st.integers(0, 2)), draw(st.integers(-3, 3))
+            for m in range(1, trunc // k + 1):
+                layers[k * m][e * m] = layers[k * m].get(e * m, 0) + k * c
+    else:
+        for j in range(1, trunc + 1):
+            layers[j] = draw(st.dictionaries(st.integers(0, 2), st.integers(-4, 4), max_size=3))
+    return layers
 
 
-@settings(max_examples=60, deadline=None)
-@given(fraction_series_st())
-def test_exp_recurrence_matches_horner_loop(a):
-    assert a.exp() == horner_exp(a)
-
-
-def test_exp_of_half_t_stays_non_integral():
-    got = TriSeries({(0, 0, 1): Fraction(1, 2)}, 3).exp()
-    assert not got.is_integral()
-    assert got.coefficient(0, 0, 1) == Fraction(1, 2)
-    assert got.coefficient(0, 0, 3) == Fraction(1, 48)
+@settings(max_examples=100, deadline=None)
+@given(weighted_layers_st())
+def test_exp_recurrence_matches_horner_loop(weighted):
+    trunc = len(weighted) - 1
+    arg = {(e, j): Fraction(d, j) for j in range(1, trunc + 1) for e, d in weighted[j].items()}
+    want = horner_exp(arg, trunc)
+    if any(v.denominator != 1 for v in want.values()):
+        with pytest.raises(IntegralityFailure):
+            _exp_layers(weighted)
+        return
+    got = _exp_layers(weighted)
+    assert len(got) == trunc + 1
+    assert {(e, n): c for n, layer in enumerate(got) for e, c in layer.items()} == want
+    assert all(type(c) is int and c for layer in got for c in layer.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,5 +322,6 @@ def test_mul_matches_naive_oracle(a, b):
 @settings(max_examples=60, deadline=None)
 @given(series_st(), series_st())
 def test_no_stored_zero_coefficients(a, b):
-    for result in (a + b, a * b, a + b * -1):
+    minus_b = TriSeries({key: -v for key, v in b.sorted_terms()}, b.trunc_t)
+    for result in (a + b, a * b, a + minus_b):
         assert all(v != 0 for _, v in result.sorted_terms())

@@ -21,6 +21,13 @@ from hilbhodge.surfaces import (
 )
 
 
+def load_text(tmp_path, text):
+    """load_dataset of ``text`` written to a file: it reads paths only."""
+    path = tmp_path / "dataset.json"
+    path.write_text(text)
+    return load_dataset(path)
+
+
 def test_preset_names_are_complete():
     assert set(PRESET_NAMES) == {
         "hopf",
@@ -79,9 +86,9 @@ def test_unknown_preset():
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_serialize_round_trip(name):
+def test_serialize_round_trip(name, tmp_path):
     ds = preset(name, max_power=3)
-    loaded = load_dataset(serialize(ds))
+    loaded = load_text(tmp_path, serialize(ds))
     assert loaded == ds
     # and a second pass is byte-identical
     assert serialize(loaded) == serialize(ds)
@@ -96,38 +103,38 @@ def test_load_dataset_from_file(tmp_path):
     assert load_dataset(path) == ds  # a path object reads the same file
 
 
-def test_load_rejects_garbage():
+def test_load_rejects_garbage(tmp_path):
     with pytest.raises(ParseError):
-        load_dataset("{not json")
+        load_text(tmp_path, "{not json")
     nested = "[" * 200_000 + "]" * 200_000
     deep = '{"name": "x", "max_power": 0, "diamonds": ' + nested + "}"
     with pytest.raises(ParseError, match="nesting too deep"):
-        load_dataset(deep)
+        load_text(tmp_path, deep)
 
 
-def test_load_rejects_empty_table():
+def test_load_rejects_empty_table(tmp_path):
     with pytest.raises(SchemaError):
-        load_dataset(json.dumps({"name": "s", "max_power": 0, "diamonds": []}))
+        load_text(tmp_path, json.dumps({"name": "s", "max_power": 0, "diamonds": []}))
 
 
-def test_load_rejects_missing_fields():
+def test_load_rejects_missing_fields(tmp_path):
     with pytest.raises(SchemaError):
-        load_dataset(json.dumps({"name": "s"}))
+        load_text(tmp_path, json.dumps({"name": "s"}))
 
 
-def test_load_rejects_max_power_mismatch():
+def test_load_rejects_max_power_mismatch(tmp_path):
     grid = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     with pytest.raises(SchemaError):
-        load_dataset(
-            json.dumps({"name": "s", "max_power": 3, "diamonds": [grid]})
+        load_text(
+            tmp_path, json.dumps({"name": "s", "max_power": 3, "diamonds": [grid]})
         )
 
 
-def test_load_rejects_negative_entry():
+def test_load_rejects_negative_entry(tmp_path):
     grid = [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
     with pytest.raises(ValidationError):
-        load_dataset(
-            json.dumps({"name": "s", "max_power": 0, "diamonds": [grid]})
+        load_text(
+            tmp_path, json.dumps({"name": "s", "max_power": 0, "diamonds": [grid]})
         )
 
 
