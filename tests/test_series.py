@@ -167,6 +167,14 @@ def test_exp_of_t():
         _exp_layers([{}, {0: 1}, {}])
 
 
+def test_integral_fraction_collapses_to_int():
+    # exp(2t) = 1 + 2t + 2t^2: the step 2 E_2 = D_1 E_1 = 4 divides exactly,
+    # and the quotient 4/2 is stored as the int 2, not as a fraction
+    got = _exp_layers([{}, {0: 2}, {}])
+    assert got == [{0: 1}, {0: 2}, {0: 2}]
+    assert all(type(c) is int for layer in got for c in layer.values())
+
+
 def test_exp_of_power_sums_is_geometric():
     # D_j = 1 for every j: exp(sum_j t^j / j) = 1/(1 - t)
     assert _exp_layers([{}] + [{0: 1}] * 4) == [{0: 1}] * 5
