@@ -5,7 +5,7 @@ each Sym^a table of the k-th diamond a product of the binomials C(h+j-1, j)
 of an even generator and C(h, j) of an odd one (``math.comb``), and a
 product one int multiply: :func:`hilb_strata` folds the Sym^a tables into
 the layers of all n <= N one part size k at a time, :func:`nested_via_strata`
-once per marked partition.  The Sym tables alone serve
+convolves those layers with the residual tables.  The Sym tables alone serve
 :func:`sym_power_twisted_hodge` and the deformation dimensions.
 """
 
@@ -182,36 +182,25 @@ def nested_via_strata(
     keeps all symmetric-power factors and tensors the residual surface
     with L'; marking a part j > 0 drops one copy of it (Sym^{a_j - 1})
     and the residual surface carries L^j x L'.  The j = 0 strata shift
-    the bigrading by n - len, the marked ones by n - len + 1.
+    the bigrading by n - len, the marked ones by n - len + 1.  A marked
+    pair is a partition mu of n - j plus one part j, and its shift
+    n - len + 1 is (n - j - len mu) + j, so the sum is one convolution:
+    sum_j (stratum layer n - j of L) E(S, L^j x L') (xy)^j, the strata
+    form of :func:`~hilbhodge.engine.nested_series`.
     """
-    from .partitions import nested_index_set
     _require_powers(table_l, n, "nested_via_strata")
     _require_powers(table_llp, n, "nested_via_strata (residual bundle)")
     residuals = [table_llp.diamond(j).bigraded() for j in range(n + 1)]
     totals = _strata(table_l, n, 0, 0)
-    # a marked stratum of layer m is a residual times a stratum of layer m - j
-    nested_totals = [
-        sum(totals[m - j] * sum(residuals[j].values()) for j in range(m + 1))
-        for m in range(n + 1)
-    ]
+    # every coefficient is at most the sum's value at x = y = 1
+    bound = sum(totals[n - j] * sum(residuals[j].values()) for j in range(n + 1))
     width = 2 * n + 3
-    slot = _slot_bits(max(totals + nested_totals))
-    sym_tables = [[]] + [
-        _sym_layers(table_l.diamond(k).bigraded(), n // k, width, slot)
-        for k in range(1, n + 1)
-    ]
-    acc = 0
-    for lam, j in nested_index_set(n):
-        mults = list(lam.mults)
-        shift = n - lam.length
-        if j:
-            shift += 1
-            mults[j - 1] -= 1
-        product = _pack(residuals[j], width, slot)
-        for k, a in enumerate(mults, start=1):
-            if a:
-                product *= sym_tables[k][a]
-        acc += product << shift * (width + 1) * slot
+    slot = _slot_bits(max(totals + [bound]))
+    layers = _strata(table_l, n, width, slot)
+    acc = sum(
+        layers[n - j] * _pack(residuals[j], width, slot) << j * (width + 1) * slot
+        for j in range(n + 1)
+    )
     return HodgePolynomial(_unpack(acc, width, slot), 2 * n + 2)
 
 

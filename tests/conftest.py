@@ -1,5 +1,5 @@
-"""Shared helpers: random tables, an Euler-factor oracle, a capture-safe CLI runner,
-a fresh-interpreter probe."""
+"""Shared helpers: random tables, an Euler-factor oracle, a partition enumerator,
+a capture-safe CLI runner, a fresh-interpreter probe."""
 
 from __future__ import annotations
 
@@ -65,6 +65,32 @@ def euler_power(m, k, e, trunc, mul=operator.mul):
         if e:
             base = mul(base, base)
     return result
+
+
+def partitions(n: int) -> list[tuple[int, ...]]:
+    """Every partition of n as its multiplicities (a_1, ..., a_r), a_r > 0, sorted.
+
+    a_k counts the parts equal to k; the partition of 0 is ().
+    """
+    def vectors(m: int, k: int):  # (a_k, ..., a_r) with parts >= k summing to m
+        if m == 0:
+            yield ()
+        elif k <= m:
+            for a in range(m // k + 1):
+                for rest in vectors(m - k * a, k + 1):
+                    if a or rest:
+                        yield (a, *rest)
+
+    return sorted(vectors(n, 1))
+
+
+def nested_index_set(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """All pairs (partition of n, marked part j): j = 0, or a part with a_j > 0."""
+    return [
+        (lam, j)
+        for lam in partitions(n)
+        for j in (0, *(k for k, a in enumerate(lam, start=1) if a))
+    ]
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

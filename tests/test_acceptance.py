@@ -144,6 +144,9 @@ def test_criterion_06_nested_consistency():
         )
         chain = euler_power((1, 1, 1), 1, 1, 8)
         assert series == hilb_series(ds.table, 8) * surface * chain, name
+        for n, layer in enumerate(series.layers()):
+            got = nested_via_strata(ds.table, ds.nested_or_main(), n)
+            assert got == HodgePolynomial(layer, 2 * n + 2), (name, n)
     rng = Random(6)
     for trial in range(12):
         table_l = random_table(rng, 4, hi=3)
@@ -156,7 +159,8 @@ def test_criterion_06_nested_consistency():
         6,
         started,
         20.0,
-        "trivial-bundle factorization on all presets to t^8; strata route on random tables to t^4",
+        "trivial-bundle factorization and strata route on all presets to t^8; "
+        "strata route on random tables to t^4",
     )
 
 

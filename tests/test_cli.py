@@ -11,7 +11,7 @@ import pytest
 from conftest import fresh_interpreter, run_cli, src_env
 from test_cli_golden import GOLDEN, TWISTED
 
-from hilbhodge import engine, verify
+from hilbhodge import engine, strata, verify
 from hilbhodge.cli import render_diamond, render_latex
 from hilbhodge.engine import HodgePolynomial, IntegralityFailure, hilb_coefficient
 from hilbhodge.oracles import super_sym_multiset
@@ -319,6 +319,92 @@ def test_verify_oracle_suite_runs_on_a_large_diamond(monkeypatch):
     ]
     # every nonzero bidegree once, then h^{1,1} = 20 filled up to 12 in all
     assert seen == [{(0, 0): 1, (0, 2): 1, (1, 1): 8, (2, 0): 1, (2, 2): 1}] * 4
+
+
+# -- kernel faults --------------------------------------------------------------
+#
+# One kernel at a time gets +1 at one bidegree; verify must exit 3, and the
+# pinned set of failing checks is the route table in executable form.
+
+
+def _strata_fault(real):
+    def faulty(table, n, width, slot):  # (1, 1) of layer 2, packed pass only
+        layers = real(table, n, width, slot)
+        if slot and n >= 2:
+            layers[2] += 1 << (width + 1) * slot
+        return layers
+    return faulty
+
+
+def _pack_fault(real):
+    return lambda terms, width, slot: real(terms, width, slot) + (1 << (width + 1) * slot)
+
+
+def _sym_layers_fault(real):
+    def faulty(dims, top, width, slot):  # (2, 2) of Sym^2
+        layers = real(dims, top, width, slot)
+        if top >= 2:
+            layers[2] += 1 << (2 * width + 2) * slot
+        return layers
+    return faulty
+
+
+def _mul_fault(real):
+    def faulty(self, other):  # x^2 y^2 t^2
+        out = real(self, other)
+        return out + TriSeries({(2, 2, 2): 1}, out.trunc_t) if out.trunc_t >= 2 else out
+    return faulty
+
+
+# (owner, kernel, fault, the kernel's arguments on a dataset, failing checks by preset)
+_KERNEL_FAULTS = {
+    "_strata": (
+        strata, "_strata", _strata_fault,
+        lambda ds: (ds.table, 6, 13, 64),
+        dict.fromkeys(("k3", "torus", "hopf"), {"product-vs-partition", "nested-two-path"}),
+    ),
+    "_pack": (
+        strata, "_pack", _pack_fault,
+        lambda ds: (ds.nested_or_main().diamond(1).bigraded(), 15, 64),
+        dict.fromkeys(("k3", "torus", "hopf"), {"nested-two-path"}),
+    ),
+    "_sym_layers": (
+        strata, "_sym_layers", _sym_layers_fault,
+        lambda ds: (ds.table.diamond(1).bigraded(), 3, 13, 64),
+        {
+            "k3": {"product-vs-partition", "nested-two-path", "oracle-suite"},
+            "torus": {
+                "product-vs-partition", "nested-two-path", "oracle-suite",
+                "deformation-closed-forms", "deformation-omega-trivial",
+            },
+            "hopf": {"product-vs-partition", "nested-two-path", "oracle-suite"},
+        },
+    ),
+    "TriSeries.__mul__": (
+        TriSeries, "__mul__", _mul_fault,
+        lambda ds: (engine.hilb_series(ds.table, 2),) * 2,
+        dict.fromkeys(("k3", "torus", "hopf"), {
+            "product-vs-partition", "chi-y-three-way", "frolicher", "hochschild-two-path",
+            "nested-two-path", "oracle-suite",
+        }),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["k3", "torus", "hopf"])
+@pytest.mark.parametrize("kernel", _KERNEL_FAULTS)
+def test_verify_fails_on_every_single_kernel_fault(kernel, name, monkeypatch, capsys):
+    owner, attr, fault, arguments, failing = _KERNEL_FAULTS[kernel]
+    ds = preset(name, max_power=6)
+    real = getattr(owner, attr)
+    faulty = fault(real)
+    assert faulty(*arguments(ds)) != real(*arguments(ds))  # the fault is not vacuous
+    monkeypatch.setattr(owner, attr, faulty)
+    code = verify.run(ds, 6)  # the forked child inherits the fault
+    _no_child_left()
+    out = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert {line.partition(":")[0] for line in out if ": FAIL" in line} == failing[name]
 
 
 # -- the shared series in a second process ------------------------------------
@@ -645,9 +731,9 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     # and every coefficient is an int: no command loads fractions
     never = {
         "dataclasses", "inspect", "multiprocessing", "concurrent", "pickle", "subprocess",
-        "fractions", "decimal",
+        "fractions", "decimal", "hilbhodge.partitions",
     }
-    lazy = {"hilbhodge.verify", "hilbhodge.oracles", "hilbhodge.partitions", "hilbhodge.strata"}
+    lazy = {"hilbhodge.verify", "hilbhodge.oracles", "hilbhodge.strata"}
     for argv, loads in (
         (["hilb", "--preset", "k3", "-n", "2"], set()),
         (["sym", "--preset", "k3", "-a", "2"], {"hilbhodge.strata"}),

@@ -4,7 +4,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from conftest import euler_power, fresh_interpreter, random_symmetric_table, random_table
+from conftest import (
+    euler_power,
+    fresh_interpreter,
+    nested_index_set,
+    partitions,
+    random_symmetric_table,
+    random_table,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +43,6 @@ from hilbhodge.engine import (
     tangent_dims_from_layer,
 )
 from hilbhodge.oracles import naive_mul, super_sym_multiset
-from hilbhodge.partitions import nested_index_set, partitions
 from hilbhodge.series import TriSeries
 from hilbhodge.surfaces import PRESET_NAMES, SurfaceDiamond, TwistedTable, preset
 
@@ -251,9 +257,9 @@ def test_partitions_route_matches_product_route():
             assert got == hilb_via_partitions(table, n)
 
 
-def twisted_tables(max_power):
-    """Tables of max_power + 1 independent diamonds with entries 0..3."""
-    grid = st.lists(st.integers(0, 3), min_size=3, max_size=3)
+def twisted_tables(max_power, entries=st.integers(0, 3)):
+    """Tables of max_power + 1 independent diamonds with entries 0..3 (or ``entries``)."""
+    grid = st.lists(entries, min_size=3, max_size=3)
     diamond = st.lists(grid, min_size=3, max_size=3).map(SurfaceDiamond)
     return st.lists(diamond, min_size=max_power + 1, max_size=max_power + 1).map(
         TwistedTable
@@ -276,7 +282,7 @@ def _strata_per_partition(table, n):
     acc = {}
     for lam in partitions(n):
         product = {(0, 0): 1}
-        for k, a in enumerate(lam.mults, start=1):
+        for k, a in enumerate(lam, start=1):
             if not a:
                 continue
             factor = sym_power_twisted_hodge(table.diamond(k), a)
@@ -286,7 +292,7 @@ def _strata_per_partition(table, n):
                     key = (p1 + p2, q1 + q2)
                     folded[key] = folded.get(key, 0) + u * v
             product = folded
-        shift = n - lam.length
+        shift = n - sum(lam)
         for (p, q), value in product.items():
             key = (p + shift, q + shift)
             acc[key] = acc.get(key, 0) + value
@@ -330,6 +336,69 @@ def test_serre_symmetry_on_untwisted_presets(name):
     for n in range(N + 1):
         terms = dict(series.coefficient_of_t(n).items())
         assert {(2 * n - p, 2 * n - q): v for (p, q), v in terms.items()} == terms, n
+
+
+# entries 0..3 or near 2 * 10^9: coefficients past 64 bits, where a packed
+# slot sized below its bound would carry into its neighbour
+small_or_huge = st.one_of(st.integers(0, 3), st.integers(2 * 10**9 - 3, 2 * 10**9))
+
+
+def _direct_sum(table_1, table_2):
+    """The table of a disjoint union S_1 + S_2: entrywise sums of the diamonds."""
+    return TwistedTable([
+        SurfaceDiamond([[u + v for u, v in zip(r1, r2)] for r1, r2 in zip(d1.rows(), d2.rows())])
+        for d1, d2 in zip(table_1.diamonds(), table_2.diamonds())
+    ])
+
+
+def _convolve(a, b):
+    """The t-layers of a product of two series given as lists of (p, q) -> value maps."""
+    out = []
+    for n in range(len(a)):
+        layer = {}
+        for m in range(n + 1):
+            for (p1, q1), u in a[m].items():
+                for (p2, q2), v in b[n - m].items():
+                    layer[p1 + p2, q1 + q2] = layer.get((p1 + p2, q1 + q2), 0) + u * v
+        out.append(layer)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n), twisted_tables(n, small_or_huge), twisted_tables(n, small_or_huge)
+        )
+    )
+)
+def test_disjoint_union_convolves_the_layers(case):
+    # Hilb(S_1 + S_2) = sum_{a+b=n} Hilb^a S_1 x Hilb^b S_2, on both routes
+    N, table_1, table_2 = case
+    union = _direct_sum(table_1, table_2)
+
+    def strata(table):
+        return [dict(poly.items()) for poly in hilb_strata(table, N)]
+
+    assert strata(union) == _convolve(strata(table_1), strata(table_2))
+    assert hilb_series(union, N).layers() == _convolve(
+        hilb_series(table_1, N).layers(), hilb_series(table_2, N).layers()
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(st.just(n), *[twisted_tables(n, small_or_huge)] * 3)
+    )
+)
+def test_nested_strata_is_linear_in_the_residual_table(case):
+    n, table_l, residual_a, residual_b = case
+    want = dict(nested_via_strata(table_l, residual_a, n).items())
+    for pq, v in nested_via_strata(table_l, residual_b, n).items():
+        want[pq] = want.get(pq, 0) + v
+    got = nested_via_strata(table_l, _direct_sum(residual_a, residual_b), n)
+    assert got == HodgePolynomial(want, 2 * n + 2)
 
 
 # -- nested spaces -------------------------------------------------------------
@@ -409,8 +478,8 @@ def _nested_per_marked_partition(table_l, table_llp, n):
     """
     acc = {}
     for lam, j in nested_index_set(n):
-        mults = list(lam.mults)
-        shift = n - lam.length
+        mults = list(lam)
+        shift = n - sum(lam)
         if j:
             shift += 1
             mults[j - 1] -= 1

@@ -1,22 +1,16 @@
-"""Partition enumeration and the nested index set."""
+"""The test-local partition enumerator and the nested index set (conftest)."""
 
-import pytest
-from conftest import euler_power
+from conftest import euler_power, nested_index_set, partitions
 
-from hilbhodge.partitions import (
-    PartitionMultiplicity,
-    nested_index_set,
-    partitions,
-)
 from hilbhodge.series import TriSeries
 
 
 def test_partition_of_zero():
-    assert partitions(0) == [PartitionMultiplicity(())]
+    assert partitions(0) == [()]
 
 
 def test_partition_of_one():
-    assert partitions(1) == [PartitionMultiplicity((1,))]
+    assert partitions(1) == [(1,)]
 
 
 def test_partition_count_four():
@@ -32,43 +26,23 @@ def test_partition_count_four():
 def test_partition_invariants():
     for n in range(9):
         for lam in partitions(n):
-            assert sum(k * a for k, a in enumerate(lam.mults, start=1)) == n
-            assert lam.length == sum(lam.mults)
-            if lam.mults:
-                assert lam.mults[-1] > 0
+            assert sum(k * a for k, a in enumerate(lam, start=1)) == n
+            assert all(a >= 0 for a in lam)
+            if lam:
+                assert lam[-1] > 0
 
 
 def test_partitions_unique_and_sorted():
     for n in range(9):
-        vectors = [lam.mults for lam in partitions(n)]
+        vectors = partitions(n)
         assert len(set(vectors)) == len(vectors)
         assert vectors == sorted(vectors)
 
 
 def test_partition_parts_round_trip():
-    lam = PartitionMultiplicity((2, 0, 1))  # 3 + 1 + 1
+    lam = (2, 0, 1)  # 3 + 1 + 1
     assert lam in partitions(5)
-    assert lam.length == 3
-
-
-def test_partition_rejects_bad_vectors():
-    with pytest.raises(ValueError, match="^trailing multiplicity must be positive$"):
-        PartitionMultiplicity((1, 0))
-    with pytest.raises(ValueError, match="^multiplicities must be nonnegative$"):
-        PartitionMultiplicity((-1, 1))
-
-
-def test_partition_record_contract():
-    lam = PartitionMultiplicity(mults=(2, 0, 1))
-    assert repr(lam) == "PartitionMultiplicity(mults=(2, 0, 1))"
-    assert lam == PartitionMultiplicity((2, 0, 1))
-    assert lam != PartitionMultiplicity((0, 0, 0, 0, 1))
-    assert hash(lam) == hash(PartitionMultiplicity((2, 0, 1)))
-    assert len(set(partitions(5)) | {lam}) == 7
-    with pytest.raises(AttributeError):
-        lam.mults = (5,)
-    with pytest.raises(AttributeError):
-        lam.extra = 1
+    assert sum(lam) == 3
 
 
 def test_partition_count_matches_generating_function():
@@ -81,31 +55,22 @@ def test_partition_count_matches_generating_function():
 
 
 def test_nested_index_set_zero():
-    assert nested_index_set(0) == [(PartitionMultiplicity(()), 0)]
+    assert nested_index_set(0) == [((), 0)]
 
 
 def test_nested_index_set_one():
-    assert nested_index_set(1) == [
-        (PartitionMultiplicity((1,)), 0),
-        (PartitionMultiplicity((1,)), 1),
-    ]
+    assert nested_index_set(1) == [((1,), 0), ((1,), 1)]
 
 
 def test_nested_index_set_two():
     # each of the two partitions has one distinct part, plus the j=0 marker
-    got = nested_index_set(2)
-    assert got == [
-        (PartitionMultiplicity((0, 1)), 0),
-        (PartitionMultiplicity((0, 1)), 2),
-        (PartitionMultiplicity((2,)), 0),
-        (PartitionMultiplicity((2,)), 1),
-    ]
+    assert nested_index_set(2) == [((0, 1), 0), ((0, 1), 2), ((2,), 0), ((2,), 1)]
 
 
 def test_nested_index_set_marks_only_present_parts():
     for n in range(7):
         for lam, j in nested_index_set(n):
             if j:
-                assert lam.mults[j - 1] > 0
+                assert lam[j - 1] > 0
     # size: one j=0 marker per partition plus one per distinct part
     assert len(nested_index_set(3)) == 3 + 4  # partitions (3),(1 2),(1^3)
