@@ -248,8 +248,7 @@ def _cmd_hh(args: argparse.Namespace) -> int:
 def _cmd_deform(args: argparse.Namespace) -> int:
     ds = _dataset(args, max(args.n, 1))
     if ds.deformation is None:
-        print("error: dataset carries no deformation block", file=sys.stderr)
-        return 1
+        raise SurfaceDataError("dataset carries no deformation block")
     dims = engine.deformation_dims(ds.deformation, args.n, args.qmax)
     if args.format == "json":
         payload = {
@@ -375,10 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except InsufficientPowers as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SurfaceDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, SeriesError) as exc:
+    except (OSError, ValueError, SeriesError, SurfaceDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,59 +14,14 @@ line bundle.  Each quantity is computable along two independent routes:
 The two routes must agree exactly; ``verify`` (:mod:`hilbhodge.verify`)
 and the test suite exercise that agreement on arbitrary tables.
 
-Routes of each ``verify`` identity and the kernel on each side; an
-unqualified name is in this module.  *Euler* is the one super-symmetric
-product builder ``_super_product``: it takes the generators (e_x, e_y,
-parity, multiplicity) of each level k, writes each factor
-(1 -+ x^e_x y^e_y t^k)^(-+h) out as its binomial series, every
-coefficient got from the one before by an exact integer ratio, and
-multiplies the factors by sparse dict convolution
-(``TriSeries.__mul__``); :func:`hilb_series`, :func:`chi_y_product`,
-:func:`betti_series` and :func:`hh_rhs_series` are four calls to it with
-their own generators.  *strata* is the packed-int kernel of
-:mod:`hilbhodge.strata`: binomial Sym tables, one int multiply per
-product, no TriSeries; *Sym tables* is its binomial kernel alone; *exp*
-is the log-derivative recurrence n F_n = sum_j D_j F_(n-j) of
-:func:`_exp_layers`, run on ``{y power: int}`` dicts and divided exactly
-by n, with no TriSeries arithmetic.
-*shared* marks the sides that read the t-layers of the one
-``hilb_series(table, N)`` that ``verify`` expands: the layers, their
-collapse along p + q or q - p, or the per-layer specialisation
-:func:`chi_y_from_hodge_series` (see :func:`chi_y_from_hodge`).
-
-========================= ============================== ================================
-identity                  one side                       other side(s)
-========================= ============================== ================================
-product-vs-partition      hilb_series (shared): Euler    strata.hilb_strata: strata
-chi-y-three-way           chi_y_product: Euler           chi_y_exp: exp;
-                                                         chi_y_from_hodge_series
-                                                         (shared): Euler
-frolicher                 hilb_series (shared), p + q    betti_series: Euler
-                          collapse per layer: Euler
-hochschild-two-path       hilb_series (shared), q - p    hh_rhs_series: Euler
-                          collapse per layer: Euler
-nested-two-path           nested_series: Euler           strata.nested_via_strata: strata
-deformation-closed-forms  strata.deformation_dims: Sym   strata.deformation_closed_forms
-                          tables
-deformation-omega-trivial strata.deformation_dims: Sym   tangent_dims_from_layer
-                          tables                         (shared): Euler
-oracle-suite              series.TriSeries.__mul__,      oracles.naive_mul,
-                          strata.sym_power_twisted_hodge oracles.super_sym_multiset
-                          of the capped k=1 diamond
-========================= ============================== ================================
-
-The Euler side imports nothing from :mod:`hilbhodge.strata` (a test
-checks that the four Euler builders leave it unloaded), so
-product-vs-partition compares two kernels that share no code.
-frolicher and hochschild-two-path run the Euler builder on both sides
-(``hilb_series`` against ``betti_series`` or ``hh_rhs_series``, other
-generators through the same builder); product-vs-partition covers the
-builder against the strata, and chi-y-three-way covers it against exp
-(``chi_y_product`` against ``chi_y_exp``).  oracle-suite covers the Sym
-tables, which the strata side shares, against brute-force multiset
-enumeration; it keeps every nonzero bidegree of the diamond but at most
-12 generators in all, the size the enumeration accepts.  No identity
-compares the shared series with itself.
+The two sides of a ``verify`` identity never run through the same kernel
+unless a third check covers that kernel.  Which checks fail when a single
+kernel is wrong (the Euler builder :func:`_super_product`,
+``TriSeries.__mul__``, the exp recurrence :func:`_exp_layers`, the strata
+kernels, the two oracles) is pinned in ``tests/test_cli.py::_KERNEL_FAULTS``;
+that table is the route map.  The Euler side imports nothing from
+:mod:`hilbhodge.strata` (a test checks that the four Euler builders leave it
+unloaded), so product-vs-partition compares two kernels that share no code.
 """
 
 from __future__ import annotations
@@ -110,7 +65,6 @@ __all__ = [
 
 # the strata route lives in hilbhodge.strata, loaded on first use (PEP 562)
 _STRATA_NAMES = frozenset((
-    "_pack", "_slot_bits", "_strata", "_sym_graded", "_sym_layers", "_sym_terms", "_unpack",
     "deformation_closed_forms", "deformation_dims", "hilb_strata", "hilb_via_partitions",
     "nested_via_strata", "sn_invariant_tangent", "sym_power_twisted_hodge",
 ))

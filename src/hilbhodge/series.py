@@ -108,9 +108,6 @@ class TriSeries:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TriSeries):
             return NotImplemented
@@ -129,21 +126,6 @@ class TriSeries:
         return f"{rendered} + O(t^{self.trunc_t + 1})"
 
     # -- ring operations -------------------------------------------------
-
-    def __add__(self, other: "TriSeries") -> "TriSeries":
-        if not isinstance(other, TriSeries):
-            return NotImplemented
-        trunc = min(self.trunc_t, other.trunc_t)
-        acc = {k: v for k, v in self._terms.items() if k[2] <= trunc}
-        for key, value in other._terms.items():
-            if key[2] > trunc:
-                continue
-            total = acc.get(key, 0) + value
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        return TriSeries._make(acc, trunc)
 
     def __mul__(self, other: "TriSeries") -> "TriSeries":
         if not isinstance(other, TriSeries):

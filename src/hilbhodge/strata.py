@@ -92,14 +92,11 @@ def _sym_layers(
 def _sym_terms(
     dims: Mapping[tuple[int, int], int], top: int
 ) -> list[dict[tuple[int, int], int]]:
-    """The (p, q) -> dim maps of Sym^a of a bigraded super space, a = 0..top."""
-    if top < 0:
-        raise ValueError("truncation order must be nonnegative")
-    for (p, q), v in dims.items():
-        if v < 0:
-            raise ValueError("dimensions must be nonnegative")
-        if p < 0 or q < 0:
-            raise ValueError(f"negative degree in {(p, q)}")
+    """The (p, q) -> dim maps of Sym^a of a bigraded super space, a = 0..top.
+
+    Callers pass ``dims`` from a validated diamond or deformation block and
+    a ``top`` they have checked to be nonnegative.
+    """
     width = top * max((max(pq) for pq, v in dims.items() if v), default=0) + 1
     slot = _slot_bits(max(_sym_layers(dims, top, 0, 0)))
     return [_unpack(layer, width, slot) for layer in _sym_layers(dims, top, width, slot)]

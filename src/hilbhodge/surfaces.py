@@ -77,12 +77,6 @@ class SurfaceDiamond:
                     raise ValidationError(f"diamond entries must be nonnegative, got {value}")
         self._rows = grid
 
-    def __getitem__(self, p: int) -> tuple[int, int, int]:
-        return self._rows[p]
-
-    def entry(self, p: int, q: int) -> int:
-        return self._rows[p][q]
-
     def rows(self) -> tuple[tuple[int, int, int], ...]:
         return self._rows
 
@@ -339,9 +333,6 @@ def validate(dataset: SurfaceDataset) -> list[str]:
     warnings: list[str] = []
     if not dataset.name:
         raise ValidationError("dataset name must be nonempty")
-    # constructors enforce shape/nonnegativity; re-assert cheap invariants here
-    if dataset.table.max_power < 0:
-        raise ValidationError("table misses the k=0 diamond")
     if dataset.kahler_symmetric:
         for k, diamond in enumerate(dataset.table.diamonds()):
             if not diamond.is_symmetric():

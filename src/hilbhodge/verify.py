@@ -4,8 +4,8 @@
 line per check, then ``all checks passed`` (exit 0) or the first failing
 check (exit 3).  A two-path FAIL names the first differing entry, the
 Euler-product side first (``paths disagree at n=2, (p, q)=(2, 2): 232 != 233``);
-a SKIP names the input the dataset lacks.  The :mod:`hilbhodge.engine`
-docstring lists the routes on each side, the README every reason.  The CLI
+a SKIP names the input the dataset lacks.  ``tests/test_cli.py::_KERNEL_FAULTS``
+pins the checks each kernel reaches, the README every reason.  The CLI
 imports this module for ``verify`` alone; nothing here imports the CLI, which
 runs as ``__main__`` under ``python -m`` and would run a second time.
 """

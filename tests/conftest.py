@@ -1,5 +1,5 @@
-"""Shared helpers: random tables, an Euler-factor oracle, a partition enumerator,
-a capture-safe CLI runner, a fresh-interpreter probe."""
+"""Shared helpers: random tables, series addition, an Euler-factor oracle, a
+partition enumerator, a capture-safe CLI runner, a fresh-interpreter probe."""
 
 from __future__ import annotations
 
@@ -40,6 +40,14 @@ def random_symmetric_table(rng: Random, max_power: int, hi: int = 3) -> TwistedT
     return TwistedTable(
         [random_symmetric_diamond(rng, hi) for _ in range(max_power + 1)]
     )
+
+
+def plus(a: TriSeries, b: TriSeries) -> TriSeries:
+    """a + b at the lower truncation order; the ring itself only multiplies."""
+    terms = dict(a.sorted_terms())
+    for key, value in b.sorted_terms():
+        terms[key] = terms.get(key, 0) + value
+    return TriSeries(terms, min(a.trunc_t, b.trunc_t))
 
 
 def euler_power(m, k, e, trunc, mul=operator.mul):

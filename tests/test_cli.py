@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from conftest import fresh_interpreter, run_cli, src_env
+from conftest import fresh_interpreter, plus, run_cli, src_env
 from test_cli_golden import GOLDEN, TWISTED
 
 from hilbhodge import engine, strata, verify
@@ -168,9 +168,9 @@ def test_deform_k3_table_shows_21():
 
 
 def test_deform_without_block_fails():
-    code, _, err = run_cli("deform", "--preset", "hopf", "-n", "2")
-    assert code == 1
-    assert "deformation" in err
+    assert run_cli("deform", "--preset", "hopf", "-n", "2") == (
+        1, "", "error: dataset carries no deformation block\n"
+    )
 
 
 def test_verify_hopf_passes():
@@ -242,12 +242,12 @@ def test_verify_failure_names_the_first_differing_entry(monkeypatch):
     monkeypatch.setattr(  # b_2 of Hilb^2 sits at x^2 t^2
         engine,
         "betti_series",
-        lambda betti, N: betti_series(betti, N) + TriSeries({(2, 0, 2): 1}, N),
+        lambda betti, N: plus(betti_series(betti, N), TriSeries({(2, 0, 2): 1}, N)),
     )
     monkeypatch.setattr(  # HH_0 of Hilb^2 sits at y^(0 + 2n) t^n
         engine,
         "hh_rhs_series",
-        lambda table, N: hh_rhs_series(table, N) + TriSeries({(0, 4, 2): 1}, N),
+        lambda table, N: plus(hh_rhs_series(table, N), TriSeries({(0, 4, 2): 1}, N)),
     )
     monkeypatch.setattr(
         engine,
@@ -278,7 +278,7 @@ def test_verify_chi_y_failure_names_the_first_differing_power(monkeypatch):
     monkeypatch.setattr(  # chi_y of Hilb^2 of k3: y^1 has 42, y^3 has 42
         engine,
         "chi_y_exp",
-        lambda table, N: chi_y_exp(table, N) + TriSeries({(0, 3, 2): 1}, N),
+        lambda table, N: plus(chi_y_exp(table, N), TriSeries({(0, 3, 2): 1}, N)),
     )
     code, out, err = run_cli("verify", "--preset", "k3", "-N", "4")
     assert (code, err) == (3, "")
@@ -290,8 +290,9 @@ def test_verify_chi_y_failure_names_the_first_differing_power(monkeypatch):
     monkeypatch.setattr(  # the Hodge specialisation, checked second
         engine,
         "chi_y_from_hodge_series",
-        lambda series: TriSeries({(0, 1, 2): -1}, series.trunc_t)
-        + chi_y_from_hodge_series(series),
+        lambda series: plus(
+            TriSeries({(0, 1, 2): -1}, series.trunc_t), chi_y_from_hodge_series(series)
+        ),
     )
     code, out, err = run_cli("verify", "--preset", "k3", "-N", "4")
     assert (code, err) == (3, "")
@@ -323,8 +324,20 @@ def test_verify_oracle_suite_runs_on_a_large_diamond(monkeypatch):
 
 # -- kernel faults --------------------------------------------------------------
 #
-# One kernel at a time gets +1 at one bidegree; verify must exit 3, and the
-# pinned set of failing checks is the route table in executable form.
+# One kernel at a time gets +1 at one bidegree (or one parity flipped); verify
+# must exit 3, and the pinned set of failing checks is the route table in
+# executable form.
+
+
+def _arguments_seen(owner, attr, run):
+    """The arguments of the first call of ``owner.attr`` while ``run()`` runs."""
+    real, seen = getattr(owner, attr), []
+    setattr(owner, attr, lambda *args: seen.append(args) or real(*args))
+    try:
+        run()
+    finally:
+        setattr(owner, attr, real)
+    return seen[0]
 
 
 def _strata_fault(real):
@@ -349,10 +362,50 @@ def _sym_layers_fault(real):
     return faulty
 
 
+def _unpack_fault(real):
+    def faulty(packed, width, slot):  # (1, 1), where the polynomial has it
+        terms = real(packed, width, slot)
+        if (1, 1) in terms:
+            terms[1, 1] += 1
+        return terms
+    return faulty
+
+
+def _super_product_fault(real):
+    def faulty(level, trunc_t):  # the generators with h = 1 at k = 2 change parity
+        return real(
+            lambda k: [(ex, ey, odd ^ (k == 2 and h == 1), h) for ex, ey, odd, h in level(k)],
+            trunc_t,
+        )
+    return faulty
+
+
+def _exp_layers_fault(real):
+    def faulty(weighted):  # y t^3
+        layers = real(weighted)
+        if len(layers) > 3:
+            layers[3][1] = layers[3].get(1, 0) + 1
+        return layers
+    return faulty
+
+
+def _naive_mul_fault(real):
+    def faulty(a, b):  # the constant term
+        return plus(real(a, b), TriSeries.one(min(a.trunc_t, b.trunc_t)))
+    return faulty
+
+
+def _multiset_fault(real):
+    def faulty(dims, n):  # the (0, 0) entry
+        table = real(dims, n)
+        return {**table, (0, 0): table.get((0, 0), 0) + 1}
+    return faulty
+
+
 def _mul_fault(real):
     def faulty(self, other):  # x^2 y^2 t^2
         out = real(self, other)
-        return out + TriSeries({(2, 2, 2): 1}, out.trunc_t) if out.trunc_t >= 2 else out
+        return plus(out, TriSeries({(2, 2, 2): 1}, out.trunc_t)) if out.trunc_t >= 2 else out
     return faulty
 
 
@@ -380,6 +433,15 @@ _KERNEL_FAULTS = {
             "hopf": {"product-vs-partition", "nested-two-path", "oracle-suite"},
         },
     ),
+    "_unpack": (
+        strata, "_unpack", _unpack_fault,
+        lambda ds: (strata._strata(ds.table, 2, 5, 64)[2], 5, 64),
+        {
+            "k3": {"product-vs-partition", "nested-two-path", "oracle-suite"},
+            "torus": {"product-vs-partition", "nested-two-path", "oracle-suite"},
+            "hopf": {"product-vs-partition", "nested-two-path"},
+        },
+    ),
     "TriSeries.__mul__": (
         TriSeries, "__mul__", _mul_fault,
         lambda ds: (engine.hilb_series(ds.table, 2),) * 2,
@@ -387,6 +449,35 @@ _KERNEL_FAULTS = {
             "product-vs-partition", "chi-y-three-way", "frolicher", "hochschild-two-path",
             "nested-two-path", "oracle-suite",
         }),
+    ),
+    "_super_product": (
+        engine, "_super_product", _super_product_fault,
+        lambda ds: _arguments_seen(
+            engine, "_super_product", lambda: engine.hilb_series(ds.table, 6)
+        ),
+        # hochschild-two-path misses it: both of its sides run this builder
+        {
+            "k3": {"product-vs-partition", "chi-y-three-way", "frolicher", "nested-two-path"},
+            "torus": {"product-vs-partition", "chi-y-three-way", "frolicher", "nested-two-path"},
+            "hopf": {"product-vs-partition", "nested-two-path"},
+        },
+    ),
+    "_exp_layers": (
+        engine, "_exp_layers", _exp_layers_fault,
+        lambda ds: _arguments_seen(
+            engine, "_exp_layers", lambda: engine.chi_y_exp(ds.table, 6)
+        ),
+        dict.fromkeys(("k3", "torus", "hopf"), {"chi-y-three-way"}),
+    ),
+    "naive_mul": (
+        verify, "naive_mul", _naive_mul_fault,
+        lambda ds: (engine.hilb_series(ds.table, 3),) * 2,
+        dict.fromkeys(("k3", "torus", "hopf"), {"oracle-suite"}),
+    ),
+    "super_sym_multiset": (
+        verify, "super_sym_multiset", _multiset_fault,
+        lambda ds: (dict.fromkeys(ds.table.diamond(1).bigraded(), 1), 2),
+        dict.fromkeys(("k3", "torus", "hopf"), {"oracle-suite"}),
     ),
 }
 

@@ -20,7 +20,6 @@ from hilbhodge.engine import (
     HodgePolynomial,
     InsufficientPowers,
     _super_product,
-    _sym_terms,
     betti_series,
     chi_y_exp,
     chi_y_from_hodge,
@@ -44,6 +43,7 @@ from hilbhodge.engine import (
 )
 from hilbhodge.oracles import naive_mul, super_sym_multiset
 from hilbhodge.series import TriSeries
+from hilbhodge.strata import _sym_terms
 from hilbhodge.surfaces import PRESET_NAMES, SurfaceDiamond, TwistedTable, preset
 
 HOPF = preset("hopf", max_power=12)
@@ -624,7 +624,7 @@ def _summed(series, key, sign):
 
 def _has_odd_class(table):
     odd = ((0, 1), (1, 0), (1, 2), (2, 1))
-    return any(d.entry(p, q) for d in table.diamonds() for p, q in odd)
+    return any(d.rows()[p][q] for d in table.diamonds() for p, q in odd)
 
 
 @settings(max_examples=25, deadline=None)
