@@ -39,7 +39,7 @@ from collections.abc import Callable
 
 from . import engine
 from .engine import HodgePolynomial, InsufficientPowers
-from .series import SeriesError, TriSeries
+from .series import SeriesError
 from .surfaces import (
     PRESET_NAMES,
     SurfaceDataError,
@@ -111,15 +111,11 @@ def _render(poly: HodgePolynomial, n: int, fmt: str) -> str:
     return _RENDERERS[fmt](poly, n)
 
 
-def _series_yt_payload(series: TriSeries) -> list[dict]:
-    out = []
-    for n, layer in enumerate(series.layers()):
-        terms = [
-            {"y": ey, "c": c}
-            for (_, ey), c in sorted(layer.items(), key=lambda kv: kv[0][1])
-        ]
-        out.append({"t": n, "terms": terms})
-    return out
+def _series_yt_payload(layers: list[engine.GradedDims]) -> list[dict]:
+    return [
+        {"t": n, "terms": [{"y": e, "c": c} for e, c in sorted(layer.items())]}
+        for n, layer in enumerate(layers)
+    ]
 
 
 # -- dataset loading ----------------------------------------------------------
@@ -198,16 +194,16 @@ def _cmd_chiy(args: argparse.Namespace) -> int:
         "exp": engine.chi_y_exp,
         "hodge": engine.chi_y_from_hodge,
     }[args.method]
-    series = route(ds.table, args.N)
+    layers = route(ds.table, args.N)
     if args.format == "json":
         # no method field: the three routes must be byte-identical
         payload = {
             "N": args.N,
-            "coefficients": _series_yt_payload(series),
+            "coefficients": _series_yt_payload(layers),
         }
         print(json.dumps(payload, indent=2))
     else:
-        for entry in _series_yt_payload(series):
+        for entry in _series_yt_payload(layers):
             pieces = []
             for t in entry["terms"]:
                 if not t["y"]:
@@ -222,8 +218,8 @@ def _cmd_chiy(args: argparse.Namespace) -> int:
 def _cmd_betti(args: argparse.Namespace) -> int:
     ds = _dataset(args, args.N)
     rows = []
-    for n, layer in enumerate(engine.betti_series(ds.betti, args.N).layers()):
-        b = [layer.get((i, 0), 0) for i in range(4 * n + 1)]
+    for n, layer in enumerate(engine.betti_series(ds.betti, args.N)):
+        b = [layer.get(i, 0) for i in range(4 * n + 1)]
         rows.append({"t": n, "b": b})
     if args.format == "json":
         print(json.dumps({"N": args.N, "coefficients": rows}, indent=2))

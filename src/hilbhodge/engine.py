@@ -6,7 +6,7 @@ associated Hilbert schemes ``Hilb^n S`` carrying the naturally induced
 line bundle.  Each quantity is computable along two independent routes:
 
 * a multiplicative route, an Euler product expanded in
-  :class:`~hilbhodge.series.TriSeries` (this module);
+  :class:`~hilbhodge.series.TriSeries` or in t-layers (this module);
 * an additive route, a sum over integer partitions of super symmetric
   powers of the surface table (:mod:`hilbhodge.strata`, whose names
   resolve here too and load that module on first use).
@@ -14,10 +14,12 @@ line bundle.  Each quantity is computable along two independent routes:
 The two routes must agree exactly; ``verify`` (:mod:`hilbhodge.verify`)
 and the test suite exercise that agreement on arbitrary tables.
 
-The two sides of a ``verify`` identity never run through the same kernel
+The Euler side has two kernels, :func:`_super_product` (binomial factors
+multiplied in the ring) and :func:`_exp_layers` (the exp recurrence that
+:func:`_exp_product` feeds); a one-variable series is a list of t-layers
+``{power: coeff}``.  The two sides of a ``verify`` identity never run through the same kernel
 unless a third check covers that kernel.  Which checks fail when a single
-kernel is wrong (the Euler builder :func:`_super_product`,
-``TriSeries.__mul__``, the exp recurrence :func:`_exp_layers`, the strata
+kernel is wrong (the two Euler kernels, ``TriSeries.__mul__``, the strata
 kernels, the two oracles) is pinned in ``tests/test_cli.py::_KERNEL_FAULTS``;
 that table is the route map.  The Euler side imports nothing from
 :mod:`hilbhodge.strata` (a test checks that the four Euler builders leave it
@@ -34,6 +36,8 @@ from .surfaces import SurfaceDataset, TwistedTable
 GradedDims = dict[int, int]
 # (e_x, e_y, odd, h): h generators of bidegree (e_x, e_y); odd is 1 or 0
 _SuperGenerator = tuple[int, int, int, int]
+# (e, odd, h): h generators of degree e in one variable
+_Generator = tuple[int, int, int]
 
 __all__ = [
     "EngineError",
@@ -49,7 +53,6 @@ __all__ = [
     "deformation_closed_forms",
     "deformation_dims",
     "hh_dims",
-    "hh_from_rhs",
     "hh_rhs_series",
     "hilb_coefficient",
     "hilb_series",
@@ -86,7 +89,7 @@ class InsufficientPowers(EngineError):
 
 
 class IntegralityFailure(EngineError):
-    """The exp route's division by n left a remainder (an internal bug)."""
+    """The exp route (chi_y and HH) divided by n with a remainder (an internal bug)."""
 
 
 def _require_powers(table: TwistedTable, needed: int, operation: str) -> None:
@@ -164,9 +167,6 @@ class HodgePolynomial:
         for (p, q), value in self._terms.items():
             out[p + q] += value
         return out
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HodgePolynomial):
@@ -250,17 +250,21 @@ def nested_series(
 
     ``table_llp`` holds h^{p,q}(S, L^j x L') for j = 0..N.  The result is
     the Hilb series of ``table_l`` times the residual-point series
-    sum_j E(S, L^j x L')(x, y) (xy)^j t^j; terms satisfy
-    e_x, e_y <= 2 e_t + 2.
+    sum_j E(S, L^j x L')(x, y) (xy)^j t^j, convolved layer by layer; terms
+    satisfy e_x, e_y <= 2 e_t + 2.
     """
     _require_powers(table_l, trunc_t, "nested_series")
     _require_powers(table_llp, trunc_t, "nested_series (residual bundle)")
-    tail_terms: dict[tuple[int, int, int], int] = {}
+    hilb = hilb_series(table_l, trunc_t).layers()
+    terms: dict[tuple[int, int, int], int] = {}
     for j in range(trunc_t + 1):
-        for (p, q), h in table_llp.diamond(j).bigraded().items():
-            tail_terms[(p + j, q + j, j)] = h
-    tail = TriSeries(tail_terms, trunc_t)
-    return hilb_series(table_l, trunc_t) * tail
+        tail = table_llp.diamond(j).bigraded().items()
+        for n in range(trunc_t + 1 - j):
+            for (a, b), u in hilb[n].items():
+                for (p, q), v in tail:
+                    key = (a + p + j, b + q + j, n + j)
+                    terms[key] = terms.get(key, 0) + u * v
+    return TriSeries(terms, trunc_t)
 
 
 def nested_coefficient(
@@ -275,59 +279,60 @@ def nested_coefficient(
 # -- chi_y genera along three routes ---------------------------------------
 
 
-def chi_y_product(table: TwistedTable, trunc_t: int) -> TriSeries:
-    """Refined chi_y series in (y, t) as an Euler product.
+def chi_y_product(table: TwistedTable, trunc_t: int) -> list[GradedDims]:
+    """Refined chi_y series as t-layers ``{y power: coeff}``, by an Euler product.
 
     Factor k contributes (1 - y^{p+k-1} t^k)^(-(-1)^p chi(S, Omega^p x L^k))
     for p = 0, 1, 2, with chi the alternating q-sum of the k-th diamond.
     """
     _require_powers(table, trunc_t, "chi_y_product")
-    return _super_product(
-        lambda k: (
-            (0, p + k - 1, 0, (-1) ** p * table.diamond(k).chi_column(p))
-            for p in range(3)
-        ),
+    series = _super_product(
+        lambda k: ((0, p + k - 1, 0, (-1) ** p * table.diamond(k).chi_column(p)) for p in range(3)),
         trunc_t,
     )
+    return [{ey: c for (_, ey), c in layer.items()} for layer in series.layers()]
 
 
-def chi_y_exp(table: TwistedTable, trunc_t: int) -> TriSeries:
-    """Refined chi_y series through the exponential form.
+def chi_y_exp(table: TwistedTable, trunc_t: int) -> list[GradedDims]:
+    """Refined chi_y series through the exponential form, as t-layers.
 
-    The series is exp(A), A = sum_m t^m/m sum_k (t y)^{(k-1) m} chi_{-y^m}(S, L^k).
-    The t^j layer of t A', D_j = j A_j, is integral: with j = k m its
-    terms are k (-1)^p chi(S, Omega^p x L^k) y^{m (k-1+p)}.
-    :func:`_exp_layers` expands exp(A) from those layers in ints and raises
-    :class:`IntegralityFailure` if a coefficient is not an integer.
+    The series is exp(A), A = sum_m t^m/m sum_k (t y)^{(k-1) m} chi_{-y^m}(S, L^k):
+    the factors of :func:`chi_y_product` expanded by :func:`_exp_product`.
     """
     _require_powers(table, trunc_t, "chi_y_exp")
-    weighted: list[dict[int, int]] = [{} for _ in range(trunc_t + 1)]
-    for k in range(1, trunc_t + 1):
-        d = table.diamond(k)
-        for p in range(3):
-            c = k * (-1) ** p * d.chi_column(p)
-            if not c:
-                continue
-            for m in range(1, trunc_t // k + 1):
-                layer, e = weighted[k * m], m * (k - 1 + p)
-                layer[e] = layer.get(e, 0) + c
-    return TriSeries(
-        {
-            (0, e, n): c
-            for n, layer in enumerate(_exp_layers(weighted))
-            for e, c in layer.items()
-        },
+    return _exp_product(
+        lambda k: ((p + k - 1, 0, (-1) ** p * table.diamond(k).chi_column(p)) for p in range(3)),
         trunc_t,
     )
 
 
-def _exp_layers(weighted: list[dict[int, int]]) -> list[dict[int, int]]:
-    """The t-layers F_0..F_N of F = exp(sum_j D_j t^j / j), as ``{y power: int}``.
+def _exp_product(level: Callable[[int], Iterable[_Generator]], trunc_t: int) -> list[GradedDims]:
+    """The t-layers of the Euler product of one-variable generators, by the exp route.
+
+    The twin of :func:`_super_product`: the factor (1 - s z^e t^k)^(-s h) of
+    a generator ``(e, odd, h)`` of level k is the exp of
+    h sum_r s^(r+1) z^(e r) t^(k r) / r, so D_{k r} gains k h s^(r+1) at power e r.
+    """
+    weighted: list[GradedDims] = [{} for _ in range(trunc_t + 1)]
+    for k in range(1, trunc_t + 1):
+        for e, odd, h in level(k):
+            if not h:
+                continue
+            s = -1 if odd else 1
+            for r in range(1, trunc_t // k + 1):
+                layer = weighted[k * r]
+                layer[e * r] = layer.get(e * r, 0) + k * h * s ** (r + 1)
+    return _exp_layers(weighted)
+
+
+def _exp_layers(weighted: list[GradedDims]) -> list[GradedDims]:
+    """The t-layers F_0..F_N of F = exp(sum_j D_j t^j / j), as ``{power: int}``.
 
     ``weighted[j]`` is D_j for j = 1..N (entry 0 is not read).  F solves
     t F' = (sum_j D_j t^j) F, that is n F_n = sum_{j=1..n} D_j F_{n-j}: an
     int for int layers, which must divide by n exactly.  The first layer
-    where it does not raises :class:`IntegralityFailure`.
+    where it does not raises :class:`IntegralityFailure`; both exp routes,
+    chi_y and HH, run here.
     """
     layers = [{0: 1}]
     for n in range(1, len(weighted)):
@@ -342,7 +347,7 @@ def _exp_layers(weighted: list[dict[int, int]]) -> list[dict[int, int]]:
             q, r = divmod(v, n)
             if r:
                 raise IntegralityFailure(
-                    "chi_y exponential route produced non-integer coefficients"
+                    "exponential route produced non-integer coefficients"
                 )
             if q:
                 layer[e] = q
@@ -350,45 +355,47 @@ def _exp_layers(weighted: list[dict[int, int]]) -> list[dict[int, int]]:
     return layers
 
 
-def chi_y_from_hodge(table: TwistedTable, trunc_t: int) -> TriSeries:
+def chi_y_from_hodge(table: TwistedTable, trunc_t: int) -> list[GradedDims]:
     """Refined chi_y series by specializing the full Hodge series.
 
     Sets y = -1 in the three-variable series and renames x to -y, so the
-    result lives in (y, t) like the other two routes.
+    t-layers are keyed by the power of y like the other two routes.
     """
     _require_powers(table, trunc_t, "chi_y_from_hodge")
     return chi_y_from_hodge_series(hilb_series(table, trunc_t))
 
 
-def chi_y_from_hodge_series(series: TriSeries) -> TriSeries:
+def chi_y_from_hodge_series(series: TriSeries) -> list[GradedDims]:
     """:func:`chi_y_from_hodge` of an already expanded :func:`hilb_series`.
 
     Layer by layer, x^p y^q goes to (-y)^p (-1)^q: the t^n coefficient is
     sum (-1)^(p+q) h^{p,q} y^p over the layer's terms.
     """
-    terms: dict[tuple[int, int, int], int] = {}
-    for n, layer in enumerate(series.layers()):
+    out = []
+    for layer in series.layers():
+        acc: GradedDims = {}
         for (p, q), h in layer.items():
-            key = (0, p, n)
-            terms[key] = terms.get(key, 0) + (-1) ** (p + q) * h
-    return TriSeries(terms, series.trunc_t)
+            acc[p] = acc.get(p, 0) + (-1) ** (p + q) * h
+        out.append({p: c for p, c in acc.items() if c})
+    return out
 
 
 # -- Betti numbers ------------------------------------------------------------
 
 
-def betti_series(betti: Iterable[int], trunc_t: int) -> TriSeries:
-    """Series of Betti numbers of Hilb^n S in (x, t).
+def betti_series(betti: Iterable[int], trunc_t: int) -> list[GradedDims]:
+    """Betti numbers of Hilb^n S as t-layers: entry n is ``{i: b_i(Hilb^n S)}``.
 
-    The coefficient of x^i t^n is b_i(Hilb^n S), from the Euler product
-    over (1 -+ x^{i+2k-2} t^k)^{-+b_i(S)} with signs by the parity of i.
+    They come from the Euler product over (1 -+ x^{i+2k-2} t^k)^{-+b_i(S)}
+    with signs by the parity of i.
     """
     b = tuple(betti)
     if len(b) != 5 or any(v < 0 for v in b):
         raise ValueError("betti numbers must be five nonnegative ints")
-    return _super_product(
+    series = _super_product(
         lambda k: ((i + 2 * k - 2, 0, i % 2, bi) for i, bi in enumerate(b)), trunc_t
     )
+    return [{ex: c for (ex, _), c in layer.items()} for layer in series.layers()]
 
 
 # -- Hochschild homology -----------------------------------------------------
@@ -404,32 +411,18 @@ def hh_dims(table: TwistedTable, n: int) -> GradedDims:
     return hilb_coefficient(table, n).collapse_hodge_degree()
 
 
-def hh_rhs_series(table: TwistedTable, trunc_t: int) -> TriSeries:
-    """Super-symmetric series of surface Hochschild homology in (y, t).
+def hh_rhs_series(table: TwistedTable, trunc_t: int) -> list[GradedDims]:
+    """Hochschild homology of every Hilb^n S, n <= N, from the surface's alone.
 
-    The level-k generator of HH degree i is stored at y-exponent i + 2k,
-    so the coefficient of t^n keeps degrees i = -2n..2n at nonnegative
-    offsets i + 2n; parity (and so the super sign rule) is unchanged by
-    the even offset.
+    Entry n is ``{i: dim HH_i}``: the super-symmetric product whose level-k
+    generators are the k-th diamond in HH degree q - p, parity p + q,
+    expanded by :func:`_exp_product`.
     """
     _require_powers(table, trunc_t, "hh_rhs_series")
-    return _super_product(
-        lambda k: (
-            (0, q - p + 2 * k, (p + q) % 2, h)
-            for (p, q), h in sorted(table.diamond(k).bigraded().items())
-        ),
+    return _exp_product(
+        lambda k: ((q - p, (p + q) % 2, h) for (p, q), h in table.diamond(k).bigraded().items()),
         trunc_t,
     )
-
-
-def hh_from_rhs(series: TriSeries, n: int) -> GradedDims:
-    """Decode the t^n coefficient of :func:`hh_rhs_series` to HH degrees."""
-    out: GradedDims = {}
-    for i in range(-2 * n, 2 * n + 1):
-        value = series.coefficient(0, i + 2 * n, n)
-        if value:
-            out[i] = value
-    return out
 
 
 # -- deformation theory ------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exact truncated formal power series in the commuting variables x, y, t.
 
-Every generating function in this package lives in the truncated ring
+Every Hodge series in this package lives in the truncated ring
 ``Z[x, y][[t]] / (t^(N+1))``: a sparse map from exponent triples
 ``(e_x, e_y, e_t)`` to integer coefficients, cut off t-adically at a
 fixed order ``trunc_t = N``.  Every number the package computes is a
@@ -97,9 +97,6 @@ class TriSeries:
     @classmethod
     def one(cls, trunc_t: int) -> "TriSeries":
         return cls._make({(0, 0, 0): 1}, trunc_t)
-
-    def coefficient(self, ex: int, ey: int, et: int) -> int:
-        return self._terms.get((ex, ey, et), 0)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in the canonical order (e_t, e_x, e_y), ascending."""

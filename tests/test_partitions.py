@@ -51,7 +51,7 @@ def test_partition_count_matches_generating_function():
     for k in range(8, 0, -1):
         series = series * euler_power((1, 0, 0), k, 1, 8)
     for n in range(9):
-        assert series.coefficient(0, 0, n) == len(partitions(n))
+        assert series.layers()[n].get((0, 0), 0) == len(partitions(n))
 
 
 def test_nested_index_set_zero():

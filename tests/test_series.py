@@ -201,10 +201,10 @@ def _count_partitions(n: int, max_part: int | None = None) -> int:
 
 
 def test_super_product_counts_partitions():
-    series = _super_product(lambda k: [(0, 0, 0, 1)], 5)
-    assert series.coefficient(0, 0, 5) == _count_partitions(5) == 7
+    layers = _super_product(lambda k: [(0, 0, 0, 1)], 5).layers()
+    assert layers[5] == {(0, 0): _count_partitions(5)} and _count_partitions(5) == 7
     for n in range(6):
-        assert series.coefficient(0, 0, n) == _count_partitions(n)
+        assert layers[n] == {(0, 0): _count_partitions(n)}
 
 
 def test_super_product_of_ones():
