@@ -11,8 +11,7 @@ Hilb^{n,n+1} S.
 The package namespace holds the calls of the README's library example,
 their result types and the error types; every other name is imported
 from its submodule (``hilbhodge.engine``, ``hilbhodge.strata``,
-``hilbhodge.series``, ``hilbhodge.surfaces``, ``hilbhodge.oracles``,
-``hilbhodge.verify``).
+``hilbhodge.series``, ``hilbhodge.surfaces``, ``hilbhodge.verify``).
 """
 
 from .engine import (

@@ -20,7 +20,7 @@ multiplied in the ring) and :func:`_exp_layers` (the exp recurrence that
 ``{power: coeff}``.  The two sides of a ``verify`` identity never run through the same kernel
 unless a third check covers that kernel.  Which checks fail when a single
 kernel is wrong (the two Euler kernels, ``TriSeries.__mul__``, the strata
-kernels, the two oracles) is pinned in ``tests/test_cli.py::_KERNEL_FAULTS``;
+kernels, ``verify``'s own Euler witness) is pinned in ``tests/test_cli.py::_KERNEL_FAULTS``;
 that table is the route map.  The Euler side imports nothing from
 :mod:`hilbhodge.strata` (a test checks that the four Euler builders leave it
 unloaded), so product-vs-partition compares two kernels that share no code.

@@ -3,11 +3,14 @@
 :func:`run` prints one ``name: PASS``, ``SKIP (reason)`` or ``FAIL (reason)``
 line per check, then ``all checks passed`` (exit 0) or the first failing
 check (exit 3).  A two-path FAIL names the first differing entry, the
-Euler-product side first (``paths disagree at n=2, (p, q)=(2, 2): 232 != 233``);
-a SKIP names the input the dataset lacks.  ``tests/test_cli.py::_KERNEL_FAULTS``
-pins the checks each kernel reaches, the README every reason.  The CLI
-imports this module for ``verify`` alone; nothing here imports the CLI, which
-runs as ``__main__`` under ``python -m`` and would run a second time.
+Euler-product side first (``paths disagree at n=2, (p, q)=(2, 2): 232 != 233``).
+``euler-witness`` evaluates every shared layer mod 2^61 - 1 at five points
+against :func:`_witness`, which runs no kernel of the program, and names the
+layer and point that differ.  A SKIP names the input the dataset lacks.
+``tests/test_cli.py::_KERNEL_FAULTS`` pins the checks each kernel reaches,
+the README every reason.  The CLI imports this module for ``verify`` alone;
+nothing here imports the CLI, which runs as ``__main__`` under ``python -m``
+and would run a second time.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from collections.abc import Callable
 
 from . import engine
 from .engine import EngineError, HodgePolynomial, InsufficientPowers
-from .oracles import naive_mul, super_sym_multiset
 from .series import TriSeries
-from .surfaces import SurfaceDataset, SurfaceDiamond, TwistedTable
+from .surfaces import SurfaceDataset, TwistedTable
 
 __all__ = ["run"]
 
@@ -41,6 +43,41 @@ def _compare_layers(got: list[dict], want: list[dict], name: str) -> None:
             raise _CheckFailed(
                 f"paths disagree at n={n}, {name}={key}: {a.get(key, 0)} != {b.get(key, 0)}"
             )
+
+
+# the witness works mod P at five points (x0, y0): three sign points, two generic ones
+_P = 2**61 - 1
+_POINTS = ((1, 1), (1, _P - 1), (_P - 1, _P - 1),
+           (1234567891011, 987654321987), (271828182845904, 314159265358979))
+
+
+def _point_powers(N: int) -> list[tuple[list[int], ...]]:
+    """x0^a and y0^a mod P for a = 0..2N, at each point."""
+    return [tuple([pow(v, a, _P) for a in range(2 * N + 1)] for v in pt) for pt in _POINTS]
+
+
+def _witness(table: TwistedTable, N: int) -> list[list[int]]:
+    """Entry i: layers F_0..F_N of ``hilb_series`` at point i mod P, from the table alone.
+
+    The h generators of level k at (p+k-1, q+k-1), s = -1 for odd p + q, add
+    k h s^(r+1) z^r to D_{k r}, z = x0^(p+k-1) y0^(q+k-1): the exp form of
+    their factor (1 - s z t^k)^(-s h).  Then n F_n = sum_{j=1..n} D_j F_{n-j}.
+    """
+    out = []
+    for xs, ys in _point_powers(N):
+        weighted = [0] * (N + 1)
+        for k in range(1, N + 1):
+            for (p, q), h in table.diamond(k).bigraded().items():
+                s, z, zr = (-1) ** (p + q), xs[p + k - 1] * ys[q + k - 1] % _P, 1
+                for r in range(1, N // k + 1):
+                    zr = zr * z % _P
+                    weighted[k * r] += k * h * s ** (r + 1) * zr
+        layers = [1]
+        for n in range(1, N + 1):
+            acc = sum(weighted[j] * layers[n - j] for j in range(1, n + 1))
+            layers.append(acc * pow(n, -1, _P) % _P)
+        out.append(layers)
+    return out
 
 
 def _start_series(table: TwistedTable, N: int) -> Callable[[], TriSeries | EngineError]:
@@ -156,25 +193,16 @@ def _verify_checks(ds: SurfaceDataset, N: int):
                     raise _CheckFailed(f"n={n}: formula {formula} != series column {column}")
         return compare
 
-    def oracle_suite() -> None:
-        a = engine.hilb_series(table, min(N, 3))
-        if naive_mul(a, a) != a * a:
-            raise _CheckFailed("naive multiplication oracle disagrees")
-        # the k=1 diamond with every nonzero bidegree kept and at most 12
-        # generators in all (the enumeration guard of super_sym_multiset):
-        # one per bidegree, then the rest in (p, q) order
-        full = table.diamond(min(1, table.max_power)).bigraded()
-        dims = dict.fromkeys(full, 1)
-        spare = 12 - len(dims)
-        for pq, v in sorted(full.items()):
-            extra = min(v - 1, spare)
-            dims[pq] += extra
-            spare -= extra
-        capped = SurfaceDiamond([[dims.get((p, q), 0) for q in range(3)] for p in range(3)])
-        for n in range(4):
-            sym = engine.sym_power_twisted_hodge(capped, n)
-            if dict(sym.items()) != super_sym_multiset(dims, n):
-                raise _CheckFailed(f"symmetric-power oracle disagrees at n={n}")
+    def euler_witness():
+        witness, powers = _witness(table, N), _point_powers(N)
+
+        def compare(series: TriSeries, layers: list[HodgePolynomial]) -> None:
+            for n, poly in enumerate(layers):
+                for i, (xs, ys) in enumerate(powers):
+                    value = sum(c * xs[p] * ys[q] for (p, q), c in poly.items()) % _P
+                    if value != witness[i][n]:
+                        raise _CheckFailed(f"layer n={n} differs from the witness at point {i}")
+        return compare
 
     return [
         ("product-vs-partition", product_vs_partition),
@@ -184,7 +212,7 @@ def _verify_checks(ds: SurfaceDataset, N: int):
         ("nested-two-path", nested_two_path),
         ("deformation-closed-forms", deformation_closed),
         ("deformation-omega-trivial", deformation_omega_trivial),
-        ("oracle-suite", oracle_suite),
+        ("euler-witness", euler_witness),
     ]
 
 

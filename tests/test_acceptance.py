@@ -8,7 +8,7 @@ tolerances are the per-criterion wall-clock budgets.
 import time
 from random import Random
 
-from conftest import euler_power, random_table, run_cli
+from conftest import euler_power, naive_mul, random_table, run_cli, super_sym_multiset
 
 from hilbhodge.engine import (
     HodgePolynomial,
@@ -25,7 +25,6 @@ from hilbhodge.engine import (
     sym_power_twisted_hodge,
     tangent_dims_from_layer,
 )
-from hilbhodge.oracles import naive_mul, super_sym_multiset
 from hilbhodge.series import TriSeries
 from hilbhodge.surfaces import PRESET_NAMES, SurfaceDiamond, preset
 

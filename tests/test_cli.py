@@ -9,14 +9,16 @@ import sys
 
 import pytest
 from conftest import fresh_interpreter, plus, run_cli, src_env
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_cli_golden import GOLDEN, TWISTED
+from test_engine import small_or_huge, twisted_tables
 
 from hilbhodge import engine, strata, verify
 from hilbhodge.cli import render_diamond, render_latex
 from hilbhodge.engine import HodgePolynomial, IntegralityFailure, hilb_coefficient
-from hilbhodge.oracles import super_sym_multiset
 from hilbhodge.series import TriSeries
-from hilbhodge.surfaces import PRESET_NAMES, preset, serialize
+from hilbhodge.surfaces import PRESET_NAMES, SurfaceDataset, preset, serialize
 
 HOPF_HILB2_DIAMOND = """\
         1
@@ -213,7 +215,7 @@ def test_verify_short_nested_table_skips_only_the_nested_check(tmp_path):
     assert lines[5:] == [
         "deformation-closed-forms: PASS",
         "deformation-omega-trivial: PASS",
-        "oracle-suite: PASS",
+        "euler-witness: PASS",
         "all checks passed",
     ]
 
@@ -270,7 +272,7 @@ def test_verify_failure_names_the_first_differing_entry(monkeypatch):
         "nested-two-path: FAIL (paths disagree at n=2, (p, q)=(1, 1): 42 != 43)",
         "deformation-closed-forms: PASS",
         "deformation-omega-trivial: PASS",
-        "oracle-suite: PASS",
+        "euler-witness: PASS",
         "verification FAILED; first failing check: product-vs-partition",
     ]
 
@@ -299,25 +301,36 @@ def test_verify_chi_y_failure_names_the_first_differing_power(monkeypatch):
     )
 
 
-def test_verify_oracle_suite_runs_on_a_large_diamond(monkeypatch):
-    # the k3 diamond has 24 generators, past the enumeration guard of 12;
-    # the check caps it instead of skipping the symmetric-power oracle
-    seen = []
+def test_verify_witness_failure_names_the_layer_and_the_point(monkeypatch):
+    # one unit of layer 3 moves from (3, 3) to (2, 4) in the shared series
+    # (N=5; nested-two-path expands its own at depth 4): the total degree and
+    # the sign at point 0, (1, 1), stay; the sign at point 1, (1, -1), flips
+    hilb_series = engine.hilb_series
 
-    def wrong(dims, n):  # right up to Sym^2, one dimension too many in Sym^3
-        seen.append(dict(dims))
-        table = super_sym_multiset(dims, n)
-        return {**table, (0, 0): table.get((0, 0), 0) + 1} if n == 3 else table
+    def moved(table, N):
+        series = hilb_series(table, N)
+        if N != 5:
+            return series
+        terms = dict(series.sorted_terms())
+        terms[3, 3, 3] -= 1
+        terms[2, 4, 3] += 1
+        return TriSeries(terms, N)
 
-    monkeypatch.setattr(verify, "super_sym_multiset", wrong)
-    code, out, err = run_cli("verify", "--preset", "k3", "-N", "4")
+    monkeypatch.setattr(engine, "hilb_series", moved)
+    code, out, err = run_cli("verify", "--preset", "k3", "-N", "5")
+    _no_child_left()
     assert (code, err) == (3, "")
-    assert out.splitlines()[-2:] == [
-        "oracle-suite: FAIL (symmetric-power oracle disagrees at n=3)",
-        "verification FAILED; first failing check: oracle-suite",
+    assert out.splitlines() == [
+        "product-vs-partition: FAIL (paths disagree at n=3, (p, q)=(2, 4): 254 != 253)",
+        "chi-y-three-way: FAIL (paths disagree at n=3, y=2: 508 != 509)",
+        "frolicher: PASS",
+        "hochschild-two-path: FAIL (paths disagree at n=3, i=0: 2553 != 2554)",
+        "nested-two-path: PASS",
+        "deformation-closed-forms: PASS",
+        "deformation-omega-trivial: PASS",
+        "euler-witness: FAIL (layer n=3 differs from the witness at point 1)",
+        "verification FAILED; first failing check: product-vs-partition",
     ]
-    # every nonzero bidegree once, then h^{1,1} = 20 filled up to 12 in all
-    assert seen == [{(0, 0): 1, (0, 2): 1, (1, 1): 8, (2, 0): 1, (2, 2): 1}] * 4
 
 
 # -- kernel faults --------------------------------------------------------------
@@ -396,16 +409,12 @@ def _exp_layers_fault(real):
     return faulty
 
 
-def _naive_mul_fault(real):
-    def faulty(a, b):  # the constant term
-        return plus(real(a, b), TriSeries.one(min(a.trunc_t, b.trunc_t)))
-    return faulty
-
-
-def _multiset_fault(real):
-    def faulty(dims, n):  # the (0, 0) entry
-        table = real(dims, n)
-        return {**table, (0, 0): table.get((0, 0), 0) + 1}
+def _witness_fault(real):
+    def faulty(table, N):  # F_2 at the first point
+        points = real(table, N)
+        if N >= 2:
+            points[0][2] += 1
+        return points
     return faulty
 
 
@@ -432,29 +441,25 @@ _KERNEL_FAULTS = {
         strata, "_sym_layers", _sym_layers_fault,
         lambda ds: (ds.table.diamond(1).bigraded(), 3, 13, 64),
         {
-            "k3": {"product-vs-partition", "nested-two-path", "oracle-suite"},
+            "k3": {"product-vs-partition", "nested-two-path"},
             "torus": {
-                "product-vs-partition", "nested-two-path", "oracle-suite",
+                "product-vs-partition", "nested-two-path",
                 "deformation-closed-forms", "deformation-omega-trivial",
             },
-            "hopf": {"product-vs-partition", "nested-two-path", "oracle-suite"},
+            "hopf": {"product-vs-partition", "nested-two-path"},
         },
     ),
     "_unpack": (
         strata, "_unpack", _unpack_fault,
         lambda ds: (strata._strata(ds.table, 2, 5, 64)[2], 5, 64),
-        {
-            "k3": {"product-vs-partition", "nested-two-path", "oracle-suite"},
-            "torus": {"product-vs-partition", "nested-two-path", "oracle-suite"},
-            "hopf": {"product-vs-partition", "nested-two-path"},
-        },
+        dict.fromkeys(("k3", "torus", "hopf"), {"product-vs-partition", "nested-two-path"}),
     ),
     "TriSeries.__mul__": (
         TriSeries, "__mul__", _mul_fault,
         lambda ds: (engine.hilb_series(ds.table, 2),) * 2,
         dict.fromkeys(("k3", "torus", "hopf"), {
             "product-vs-partition", "chi-y-three-way", "frolicher", "hochschild-two-path",
-            "nested-two-path", "oracle-suite",
+            "nested-two-path", "euler-witness",
         }),
     ),
     "_super_product": (
@@ -466,13 +471,15 @@ _KERNEL_FAULTS = {
         {
             "k3": {
                 "product-vs-partition", "chi-y-three-way", "frolicher", "hochschild-two-path",
-                "nested-two-path",
+                "nested-two-path", "euler-witness",
             },
             "torus": {
                 "product-vs-partition", "chi-y-three-way", "frolicher", "hochschild-two-path",
-                "nested-two-path",
+                "nested-two-path", "euler-witness",
             },
-            "hopf": {"product-vs-partition", "hochschild-two-path", "nested-two-path"},
+            "hopf": {
+                "product-vs-partition", "hochschild-two-path", "nested-two-path", "euler-witness",
+            },
         },
     ),
     "_exp_product": (
@@ -489,15 +496,10 @@ _KERNEL_FAULTS = {
         ),
         dict.fromkeys(("k3", "torus", "hopf"), {"chi-y-three-way", "hochschild-two-path"}),
     ),
-    "naive_mul": (
-        verify, "naive_mul", _naive_mul_fault,
-        lambda ds: (engine.hilb_series(ds.table, 3),) * 2,
-        dict.fromkeys(("k3", "torus", "hopf"), {"oracle-suite"}),
-    ),
-    "super_sym_multiset": (
-        verify, "super_sym_multiset", _multiset_fault,
-        lambda ds: (dict.fromkeys(ds.table.diamond(1).bigraded(), 1), 2),
-        dict.fromkeys(("k3", "torus", "hopf"), {"oracle-suite"}),
+    "_witness": (
+        verify, "_witness", _witness_fault,
+        lambda ds: (ds.table, 6),
+        dict.fromkeys(("k3", "torus", "hopf"), {"euler-witness"}),
     ),
 }
 
@@ -516,6 +518,46 @@ def test_verify_fails_on_every_single_kernel_fault(kernel, name, monkeypatch, ca
     out = capsys.readouterr().out.splitlines()
     assert code == 3
     assert {line.partition(":")[0] for line in out if ": FAIL" in line} == failing[name]
+
+
+# -- the witness -----------------------------------------------------------------
+
+
+def _with_layer(polys: list[HodgePolynomial], n: int, layer: dict) -> list[HodgePolynomial]:
+    return [*polys[:n], HodgePolynomial(layer, 2 * n), *polys[n + 1:]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), twisted_tables(n, small_or_huge))),
+    st.data(),
+)
+def test_witness_is_both_routes_at_every_point_and_sees_one_changed_entry(case, data):
+    N, table = case
+    witness, powers = verify._witness(table, N), verify._point_powers(N)
+    series = engine.hilb_series(table, N).layers()
+    for layers in (series, [dict(poly.items()) for poly in engine.hilb_strata(table, N)]):
+        for (xs, ys), values in zip(powers, witness):
+            assert values == [
+                sum(c * xs[p] * ys[q] for (p, q), c in layer.items()) % verify._P
+                for layer in layers
+            ]
+    compare = dict(verify._verify_checks(SurfaceDataset("random", table), N))["euler-witness"]()
+    polys = [HodgePolynomial(layer, 2 * n) for n, layer in enumerate(series)]
+    compare(None, polys)
+    # +1 on one entry of layer n, then one entry of layer n moved to another bidegree
+    n = data.draw(st.integers(0, N))
+    cell = st.tuples(st.integers(0, 2 * n), st.integers(0, 2 * n))
+    key = data.draw(cell)
+    with pytest.raises(verify._CheckFailed, match=f"^layer n={n} differs"):
+        compare(None, _with_layer(polys, n, {**series[n], key: series[n].get(key, 0) + 1}))
+    if n and series[n]:
+        source = data.draw(st.sampled_from(sorted(series[n])))
+        target = data.draw(cell.filter(lambda pq: pq != source))
+        moved = dict(series[n])
+        moved[target] = moved.get(target, 0) + moved.pop(source)
+        with pytest.raises(verify._CheckFailed, match=f"^layer n={n} differs"):
+            compare(None, _with_layer(polys, n, moved))
 
 
 # -- the shared series in a second process ------------------------------------
@@ -563,8 +605,8 @@ def test_verify_golden_digests_with_and_without_fork(dataset, fork, tmp_path):
 
 
 def test_verify_fails_each_check_that_reads_a_failed_series(monkeypatch, fork):
-    # only the shared series (N=6) fails; nested-two-path (depth 4) and
-    # oracle-suite (order 3) expand their own products and still pass
+    # only the shared series (N=6) fails; nested-two-path (depth 4) expands
+    # its own product and still passes
     hilb_series = engine.hilb_series
 
     def boom(table, N):
@@ -584,7 +626,7 @@ def test_verify_fails_each_check_that_reads_a_failed_series(monkeypatch, fork):
         "nested-two-path: PASS",
         "deformation-closed-forms: PASS",
         "deformation-omega-trivial: FAIL (boom)",
-        "oracle-suite: PASS",
+        "euler-witness: FAIL (boom)",
         "verification FAILED; first failing check: product-vs-partition",
     ]
 
@@ -613,7 +655,7 @@ def test_verify_fails_the_series_checks_when_the_child_leaves_no_result(monkeypa
         "nested-two-path: PASS",
         f"deformation-closed-forms: {_NO_DEFORMATION}",
         f"deformation-omega-trivial: {_NOT_OMEGA_TRIVIAL}",
-        "oracle-suite: PASS",
+        f"euler-witness: {reason}",
         "verification FAILED; first failing check: product-vs-partition",
     ]
 
@@ -668,7 +710,7 @@ def test_verify_golden_output_on_presets(name):
         "nested-two-path: PASS\n"
         f"deformation-closed-forms: {closed}\n"
         f"deformation-omega-trivial: {omega}\n"
-        "oracle-suite: PASS\n"
+        "euler-witness: PASS\n"
         "all checks passed\n"
     )
     assert run_cli("verify", "--preset", name, "-N", "4") == (0, want, "")
@@ -842,9 +884,9 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     # and every coefficient is an int: no command loads fractions
     never = {
         "dataclasses", "inspect", "multiprocessing", "concurrent", "pickle", "subprocess",
-        "fractions", "decimal", "hilbhodge.partitions",
+        "fractions", "decimal", "hilbhodge.partitions", "hilbhodge.oracles",
     }
-    lazy = {"hilbhodge.verify", "hilbhodge.oracles", "hilbhodge.strata"}
+    lazy = {"hilbhodge.verify", "hilbhodge.strata"}
     for argv, loads in (
         (["hilb", "--preset", "k3", "-n", "2"], set()),
         (["sym", "--preset", "k3", "-a", "2"], {"hilbhodge.strata"}),

@@ -105,7 +105,7 @@ GOLDEN = {
     "hopf deform -n 3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "hopf deform -n 3 --format json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "hopf deform -n 3 --format text": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "hopf verify -N 4": (0, "02e5d9f0c5c2fb960457b7a4b18e3fc45f9a4b0f45d85340df140894e86e0a2e"),
+    "hopf verify -N 4": (0, "d1850189d969bdd891024503fef1057cf3fccb07420a144ec921e2732c7230b3"),
     "k3 hilb -n 3": (0, "c13535d5472dfa53a31b622d15dbdb3ab9fdea7e90b0f30af20b9a192c264e99"),
     "k3 hilb -n 3 --format diamond": (0, "c13535d5472dfa53a31b622d15dbdb3ab9fdea7e90b0f30af20b9a192c264e99"),
     "k3 hilb -n 3 --format latex": (0, "8d27eda9df2859b1a7e53aa9041f15da21afd08d74bedb32c50c81c05a1e9bc7"),
@@ -149,7 +149,7 @@ GOLDEN = {
     "k3 deform -n 3": (0, "f4f1f74bdb397386cb5e76a3f2e43afc54356fba3f42cd8e17d5ac82da4c6313"),
     "k3 deform -n 3 --format json": (0, "74ec34d8ea526e05bb2ab277ce11e6abf2220508e775eb68e56ccf1eab2386ef"),
     "k3 deform -n 3 --format text": (0, "f4f1f74bdb397386cb5e76a3f2e43afc54356fba3f42cd8e17d5ac82da4c6313"),
-    "k3 verify -N 4": (0, "ec69a1034444179e62845be1cd67d0ffc65bfeba66c0453c7171c7742ce6aa58"),
+    "k3 verify -N 4": (0, "873bce18e2014e582b86b2b6058e50caac0df67413354a1b812fd5b7e164cc23"),
     "twisted hilb -n 3": (0, "31530f5a1868809bef77b2dc51cc1d9d335d8aa914e80ff0f24f370e34329703"),
     "twisted hilb -n 3 --format diamond": (0, "31530f5a1868809bef77b2dc51cc1d9d335d8aa914e80ff0f24f370e34329703"),
     "twisted hilb -n 3 --format latex": (0, "535a4101c2f495c0dadb2656d6e3c9e6f2b237d584b656ac6cf20f60770b48ea"),
@@ -193,7 +193,7 @@ GOLDEN = {
     "twisted deform -n 3": (0, "650e5e6858cf02b75f8092c166fc3c1729c184d36bf284f327a428f6b68d404c"),
     "twisted deform -n 3 --format json": (0, "86b5d949ec0560ce980662ba67b0fafe0a7565ac4cb583259b98b3fe6beb19c9"),
     "twisted deform -n 3 --format text": (0, "650e5e6858cf02b75f8092c166fc3c1729c184d36bf284f327a428f6b68d404c"),
-    "twisted verify -N 4": (0, "1704b3ae2abc800c1e54e6bfaf6eb9bcb65f4d8698b6392e6915290c83b14f5c"),
+    "twisted verify -N 4": (0, "1aa3d02e1b4ccefa4d097cf3405b24fba9f98d144514a02f84316be0cf839bf9"),
 }
 
 

@@ -7,10 +7,12 @@ import pytest
 from conftest import (
     euler_power,
     fresh_interpreter,
+    naive_mul,
     nested_index_set,
     partitions,
     random_symmetric_table,
     random_table,
+    super_sym_multiset,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -41,7 +43,6 @@ from hilbhodge.engine import (
     sym_power_twisted_hodge,
     tangent_dims_from_layer,
 )
-from hilbhodge.oracles import naive_mul, super_sym_multiset
 from hilbhodge.series import TriSeries
 from hilbhodge.strata import _sym_terms
 from hilbhodge.surfaces import PRESET_NAMES, SurfaceDiamond, TwistedTable, preset
@@ -359,6 +360,52 @@ def test_serre_symmetry_on_untwisted_presets(name):
     for n in range(N + 1):
         terms = dict(series.coefficient_of_t(n).items())
         assert {(2 * n - p, 2 * n - q): v for (p, q), v in terms.items()} == terms, n
+
+
+def _serre_dual(table):
+    """The table of the dual bundles: D^v_k(p, q) = D_k(2 - p, 2 - q)."""
+    return TwistedTable([
+        SurfaceDiamond([row[::-1] for row in d.rows()[::-1]]) for d in table.diamonds()
+    ])
+
+
+def _reflected(layer, top):
+    return {(top - p, top - q): v for (p, q), v in layer.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), twisted_tables(n))))
+def test_twisted_serre_duality_reflects_the_hilb_layers(case):
+    # layer n of the dual table is layer n reflected by (p, q) -> (2n - p, 2n - q)
+    N, table = case
+    dual = _serre_dual(table)
+    series = hilb_series(table, N).layers()
+    assert hilb_series(dual, N).layers() == [
+        _reflected(layer, 2 * n) for n, layer in enumerate(series)
+    ]
+    assert [dict(poly.items()) for poly in hilb_strata(dual, N)] == [
+        _reflected(dict(poly.items()), 2 * n) for n, poly in enumerate(hilb_strata(table, N))
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(st.just(n), twisted_tables(n), twisted_tables(n))
+    )
+)
+def test_twisted_serre_duality_reflects_the_nested_layers(case):
+    # both tables dual: layer n is reflected by (p, q) -> (2n + 2 - p, 2n + 2 - q)
+    N, table_l, table_llp = case
+    dual_l, dual_llp = _serre_dual(table_l), _serre_dual(table_llp)
+    series = nested_series(table_l, table_llp, N).layers()
+    assert nested_series(dual_l, dual_llp, N).layers() == [
+        _reflected(layer, 2 * n + 2) for n, layer in enumerate(series)
+    ]
+    for n in range(N + 1):
+        got = nested_via_strata(dual_l, dual_llp, n)
+        want = _reflected(dict(nested_via_strata(table_l, table_llp, n).items()), 2 * n + 2)
+        assert dict(got.items()) == want, n
 
 
 # entries 0..3 or near 2 * 10^9: coefficients past 64 bits, where a packed

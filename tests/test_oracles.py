@@ -1,8 +1,8 @@
-"""Brute-force reference implementations."""
+"""The brute-force reference implementations in conftest."""
 
 import pytest
+from conftest import TooLarge, naive_mul, super_sym_multiset
 
-from hilbhodge.oracles import TooLarge, naive_mul, super_sym_multiset
 from hilbhodge.series import TriSeries
 
 

@@ -3,12 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from conftest import plus
+from conftest import naive_mul, plus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbhodge.engine import IntegralityFailure, _exp_layers, _super_product
-from hilbhodge.oracles import naive_mul
 from hilbhodge.series import TriSeries, TruncationExceeded
 
 ONE = TriSeries.one(4)
