@@ -266,7 +266,6 @@ def _cmd_deform(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ds = _dataset(args, args.N)
-    engine._require_powers(ds.table, args.N, "hilb_series")  # exit 2 before the fork
     from . import verify  # loaded for this command only
     return verify.run(ds, args.N)
 

@@ -2,7 +2,9 @@
 
 :func:`run` prints one ``name: PASS``, ``SKIP (reason)`` or ``FAIL (reason)``
 line per check, then ``all checks passed`` (exit 0) or the first failing
-check (exit 3).  A two-path FAIL names the first differing entry, the
+check (exit 3).  The shared series ``hilb_series(N)`` is expanded once, in
+process, before the first check; if it fails, so does each check that
+reads it.  A two-path FAIL names the first differing entry, the
 Euler-product side first (``paths disagree at n=2, (p, q)=(2, 2): 232 != 233``).
 ``euler-witness`` evaluates every shared layer mod 2^61 - 1 at five points
 against :func:`_witness`, which runs no kernel of the program, and names the
@@ -15,8 +17,6 @@ and would run a second time.
 
 from __future__ import annotations
 
-import marshal
-import os
 from collections.abc import Callable
 
 from . import engine
@@ -80,82 +80,53 @@ def _witness(table: TwistedTable, N: int) -> list[list[int]]:
     return out
 
 
-def _start_series(table: TwistedTable, N: int) -> Callable[[], TriSeries | EngineError]:
-    """Expand ``engine.hilb_series(table, N)`` in a forked child; return its receiver.
+def _expand(table: TwistedTable, N: int) -> Callable[[], tuple[TriSeries, list[HodgePolynomial]]]:
+    """A call that returns ``engine.hilb_series(table, N)`` and its layers.
 
-    The child pipes the terms, or its exception's message, with ``marshal``
-    and leaves by ``os._exit``, so it never returns into its caller's frames
-    or flushes an inherited stdio buffer.  The receiver reads the pipe to its
-    end, reaps the child and returns the series, or an ``EngineError`` with
-    the child's message or exit status.  Without ``os.fork`` it runs in process.
+    ``InsufficientPowers`` propagates at once.  Any other ``EngineError`` is
+    re-raised by each call, so it fails each check that reads the series.
     """
+    try:
+        series = engine.hilb_series(table, N)
+    except InsufficientPowers:
+        raise
+    except EngineError as exc:
+        error = exc
 
-    def payload() -> bytes:
-        try:
-            return marshal.dumps(engine.hilb_series(table, N)._terms)
-        except Exception as exc:  # the receiver returns it as an EngineError
-            return marshal.dumps(str(exc))
-
-    def decode(data: bytes, code: int) -> TriSeries | EngineError:
-        if code:
-            return EngineError(f"hilb_series ended without a result (exit status {code})")
-        terms = marshal.loads(data)
-        return EngineError(terms) if isinstance(terms, str) else TriSeries._make(terms, N)
-
-    if not hasattr(os, "fork"):
-        return lambda: decode(payload(), 0)
-    fd, write_fd = os.pipe()
-    pid = os.fork()
-    if not pid:
-        try:
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload())
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(write_fd)
-
-    def receive() -> TriSeries | EngineError:
-        with open(fd, "rb") as pipe:
-            data = pipe.read()
-        return decode(data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-
-    return receive
+        def failed():
+            raise error
+        return failed
+    shared = series, [HodgePolynomial(layer, 2 * n) for n, layer in enumerate(series.layers())]
+    return lambda: shared
 
 
-def _verify_checks(ds: SurfaceDataset, N: int):
-    """Checks in order: each computes its side, then returns None or its comparison."""
+def _verify_checks(ds: SurfaceDataset, N: int, shared: Callable):
+    """Checks in order: each computes its own side, then compares it with ``shared()``."""
     table = ds.table
 
-    def product_vs_partition():
+    def product_vs_partition() -> None:
         strata = [dict(poly.items()) for poly in engine.hilb_strata(table, N)]
-        return lambda series, layers: _compare_layers(
-            [dict(poly.items()) for poly in layers], strata, "(p, q)"
-        )
+        _compare_layers([dict(poly.items()) for poly in shared()[1]], strata, "(p, q)")
 
-    def chi_y_three_way():
+    def chi_y_three_way() -> None:
         by_product = engine.chi_y_product(table, N)
         _compare_layers(by_product, engine.chi_y_exp(table, N), "y")
-        return lambda series, layers: _compare_layers(
-            by_product, engine.chi_y_from_hodge_series(series), "y"
-        )
+        _compare_layers(by_product, engine.chi_y_from_hodge_series(shared()[0]), "y")
 
-    def frolicher():
+    def frolicher() -> None:
         if not table.is_constant():
             raise _CheckSkipped("table is not a trivial-bundle table")
         betti = engine.betti_series(ds.betti, N)
         # b_i(Hilb^n) = sum_{p+q=i} h^{p,q}(Hilb^n), layer by layer
-        return lambda series, layers: _compare_layers(
-            [{i: b for i, b in enumerate(poly.collapse_total_degree()) if b} for poly in layers],
+        _compare_layers(
+            [{i: b for i, b in enumerate(poly.collapse_total_degree()) if b} for poly in shared()[1]],
             betti,
             "i",
         )
 
-    def hochschild_two_path():
+    def hochschild_two_path() -> None:
         want = engine.hh_rhs_series(table, N)
-        return lambda series, layers: _compare_layers(
-            [poly.collapse_hodge_degree() for poly in layers], want, "i"
-        )
+        _compare_layers([poly.collapse_hodge_degree() for poly in shared()[1]], want, "i")
 
     def nested_two_path() -> None:
         depth = min(N, 4)
@@ -176,7 +147,7 @@ def _verify_checks(ds: SurfaceDataset, N: int):
         if (dims[0], dims[1], dims[2]) != closed:
             raise _CheckFailed(f"n=3 dims {tuple(dims.values())} != closed {closed}")
 
-    def deformation_omega_trivial():
+    def deformation_omega_trivial() -> None:
         # a trivial-bundle table whose deformation block claims a trivial
         # canonical bundle (h^*(w2 T) = h^{0,*})
         din = ds.deformation
@@ -185,24 +156,18 @@ def _verify_checks(ds: SurfaceDataset, N: int):
         if N < 3:
             raise _CheckSkipped("needs N >= 3")
         formulas = {n: engine.deformation_dims(din, n, 3) for n in (2, 3)}
+        for n, formula in formulas.items():
+            column = engine.tangent_dims_from_layer(shared()[1][n], 3)
+            if formula != column:
+                raise _CheckFailed(f"n={n}: formula {formula} != series column {column}")
 
-        def compare(series: TriSeries, layers: list[HodgePolynomial]) -> None:
-            for n, formula in formulas.items():
-                column = engine.tangent_dims_from_layer(layers[n], 3)
-                if formula != column:
-                    raise _CheckFailed(f"n={n}: formula {formula} != series column {column}")
-        return compare
-
-    def euler_witness():
+    def euler_witness() -> None:
         witness, powers = _witness(table, N), _point_powers(N)
-
-        def compare(series: TriSeries, layers: list[HodgePolynomial]) -> None:
-            for n, poly in enumerate(layers):
-                for i, (xs, ys) in enumerate(powers):
-                    value = sum(c * xs[p] * ys[q] for (p, q), c in poly.items()) % _P
-                    if value != witness[i][n]:
-                        raise _CheckFailed(f"layer n={n} differs from the witness at point {i}")
-        return compare
+        for n, poly in enumerate(shared()[1]):
+            for i, (xs, ys) in enumerate(powers):
+                value = sum(c * xs[p] * ys[q] for (p, q), c in poly.items()) % _P
+                if value != witness[i][n]:
+                    raise _CheckFailed(f"layer n={n} differs from the witness at point {i}")
 
     return [
         ("product-vs-partition", product_vs_partition),
@@ -216,34 +181,27 @@ def _verify_checks(ds: SurfaceDataset, N: int):
     ]
 
 
-def _attempt(step: Callable, *args) -> tuple[str, Callable | None]:
-    """PASS, ``SKIP (reason)`` or ``FAIL (reason)``, and what ``step`` returned."""
+def _attempt(check: Callable[[], None]) -> str:
+    """PASS, ``SKIP (reason)`` or ``FAIL (reason)``."""
     try:
-        result = step(*args)
+        check()
     except _CheckSkipped as skip:
-        return f"SKIP ({skip})", None
-    except InsufficientPowers:
-        raise
+        return f"SKIP ({skip})"
     except (_CheckFailed, EngineError) as exc:
-        return f"FAIL ({exc})", None
-    return "PASS", result
+        return f"FAIL ({exc})"
+    return "PASS"
 
 
 def run(ds: SurfaceDataset, N: int) -> int:
-    """Run every check up to order N on a dataset whose main table reaches N."""
-    receive = _start_series(ds.table, N)
-    try:
-        # each check's own side, while the child expands the shared series
-        steps = [(name, _attempt(check)) for name, check in _verify_checks(ds, N)]
-    finally:
-        shared = receive()  # reads the pipe to its end and reaps the child
-    failed = isinstance(shared, EngineError)
-    if not failed:
-        layers = [HodgePolynomial(layer, 2 * n) for n, layer in enumerate(shared.layers())]
+    """Run every check up to order N; ``InsufficientPowers`` if the main table stops short.
+
+    The shared series is expanded once, in process, before the first check,
+    so a short main table raises before any output.
+    """
+    shared = _expand(ds.table, N)
     failures: list[str] = []
-    for name, (status, compare) in steps:
-        if compare is not None:
-            status = f"FAIL ({shared})" if failed else _attempt(compare, shared, layers)[0]
+    for name, check in _verify_checks(ds, N, shared):
+        status = _attempt(check)
         print(f"{name}: {status}")
         if status.startswith("FAIL"):
             failures.append(name)

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import marshal
 import os
 import subprocess
 import sys
@@ -318,7 +317,6 @@ def test_verify_witness_failure_names_the_layer_and_the_point(monkeypatch):
 
     monkeypatch.setattr(engine, "hilb_series", moved)
     code, out, err = run_cli("verify", "--preset", "k3", "-N", "5")
-    _no_child_left()
     assert (code, err) == (3, "")
     assert out.splitlines() == [
         "product-vs-partition: FAIL (paths disagree at n=3, (p, q)=(2, 4): 254 != 253)",
@@ -513,8 +511,7 @@ def test_verify_fails_on_every_single_kernel_fault(kernel, name, monkeypatch, ca
     faulty = fault(real)
     assert faulty(*arguments(ds)) != real(*arguments(ds))  # the fault is not vacuous
     monkeypatch.setattr(owner, attr, faulty)
-    code = verify.run(ds, 6)  # the forked child inherits the fault
-    _no_child_left()
+    code = verify.run(ds, 6)
     out = capsys.readouterr().out.splitlines()
     assert code == 3
     assert {line.partition(":")[0] for line in out if ": FAIL" in line} == failing[name]
@@ -542,53 +539,41 @@ def test_witness_is_both_routes_at_every_point_and_sees_one_changed_entry(case, 
                 sum(c * xs[p] * ys[q] for (p, q), c in layer.items()) % verify._P
                 for layer in layers
             ]
-    compare = dict(verify._verify_checks(SurfaceDataset("random", table), N))["euler-witness"]()
+    ds = SurfaceDataset("random", table)
+
+    def witness_check(polys):  # euler-witness, reading ``polys`` as the shared layers
+        return dict(verify._verify_checks(ds, N, lambda: (None, polys)))["euler-witness"]
+
     polys = [HodgePolynomial(layer, 2 * n) for n, layer in enumerate(series)]
-    compare(None, polys)
+    witness_check(polys)()
     # +1 on one entry of layer n, then one entry of layer n moved to another bidegree
     n = data.draw(st.integers(0, N))
     cell = st.tuples(st.integers(0, 2 * n), st.integers(0, 2 * n))
     key = data.draw(cell)
     with pytest.raises(verify._CheckFailed, match=f"^layer n={n} differs"):
-        compare(None, _with_layer(polys, n, {**series[n], key: series[n].get(key, 0) + 1}))
+        witness_check(_with_layer(polys, n, {**series[n], key: series[n].get(key, 0) + 1}))()
     if n and series[n]:
         source = data.draw(st.sampled_from(sorted(series[n])))
         target = data.draw(cell.filter(lambda pq: pq != source))
         moved = dict(series[n])
         moved[target] = moved.get(target, 0) + moved.pop(source)
         with pytest.raises(verify._CheckFailed, match=f"^layer n={n} differs"):
-            compare(None, _with_layer(polys, n, moved))
+            witness_check(_with_layer(polys, n, moved))()
 
 
-# -- the shared series in a second process ------------------------------------
+# -- the shared series -----------------------------------------------------------
 
 
 @pytest.fixture(params=["fork", "no fork"])
 def fork(request, monkeypatch):
-    """Run verify with os.fork, or as on a platform without it."""
+    """Run verify with os.fork present, or as on a platform without it."""
     if request.param == "no fork":
         monkeypatch.delattr(os, "fork")
 
 
 def _no_child_left() -> None:
-    with pytest.raises(ChildProcessError):  # every child reaped, none running
+    with pytest.raises(ChildProcessError):  # verify left no child process behind
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_verify_series_past_the_pipe_buffer_is_the_same_without_fork(monkeypatch):
-    # the k3 series at N=16 is more than a 64 KiB pipe holds, so the child
-    # blocks in its write until the parent has computed the other sides
-    terms = engine.hilb_series(preset("k3", max_power=16).table, 16)._terms
-    assert len(marshal.dumps(terms)) > 65536
-    forks = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    forked = run_cli("verify", "--preset", "k3", "-N", "16")
-    _no_child_left()
-    assert forks == [1]
-    assert forked[0] == 0 and forked[1].endswith("all checks passed\n")
-    monkeypatch.delattr(os, "fork")
-    assert run_cli("verify", "--preset", "k3", "-N", "16") == forked
 
 
 @pytest.mark.parametrize("dataset", ["hopf", "k3", "twisted"])
@@ -631,36 +616,18 @@ def test_verify_fails_each_check_that_reads_a_failed_series(monkeypatch, fork):
     ]
 
 
-def test_verify_fails_the_series_checks_when_the_child_leaves_no_result(monkeypatch):
-    if not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
-    hilb_series = engine.hilb_series
-    test_pid = os.getpid()
+def test_verify_starts_no_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("verify forked")
 
-    def dies(table, N):  # in the child only, before it sends the series (N=5)
-        if N == 5 and os.getpid() != test_pid:
-            os._exit(7)
-        return hilb_series(table, N)
-
-    monkeypatch.setattr(engine, "hilb_series", dies)
-    code, out, err = run_cli("verify", "--preset", "hopf", "-N", "5")
-    _no_child_left()
-    assert (code, err) == (3, "")
-    reason = "FAIL (hilb_series ended without a result (exit status 7))"
-    assert out.splitlines() == [
-        f"product-vs-partition: {reason}",
-        f"chi-y-three-way: {reason}",
-        f"frolicher: {reason}",
-        f"hochschild-two-path: {reason}",
-        "nested-two-path: PASS",
-        f"deformation-closed-forms: {_NO_DEFORMATION}",
-        f"deformation-omega-trivial: {_NOT_OMEGA_TRIVIAL}",
-        f"euler-witness: {reason}",
-        "verification FAILED; first failing check: product-vs-partition",
-    ]
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    code, out, err = run_cli("verify", "--preset", "k3", "-N", "6")
+    assert (code, err) == (0, "")
+    assert out.endswith("all checks passed\n")
 
 
 def test_verify_reaps_the_child_when_a_check_raises(monkeypatch, fork):
+    # a non-check exception propagates out of verify, and no process is left
     def broken(table, N):
         raise RuntimeError("not a check failure")
 
@@ -880,7 +847,7 @@ def test_closed_stdout_exits_quietly():
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # each command runs as ``python -m hilbhodge.cli`` runs it, as __main__;
-    # verify forks its one child by hand: no process-pool or pickling module
+    # verify runs in one process: no process-pool, subprocess or pickling module
     # and every coefficient is an int: no command loads fractions
     never = {
         "dataclasses", "inspect", "multiprocessing", "concurrent", "pickle", "subprocess",
