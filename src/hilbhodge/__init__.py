@@ -22,7 +22,7 @@ from .engine import (
     hilb_coefficient,
     hilb_series,
 )
-from .series import SeriesError, TriSeries
+from .series import TriSeries
 from .surfaces import SurfaceDataError, SurfaceDataset, preset
 
 __version__ = "0.1.0"

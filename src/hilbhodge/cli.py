@@ -39,7 +39,6 @@ from collections.abc import Callable
 
 from . import engine
 from .engine import HodgePolynomial, InsufficientPowers
-from .series import SeriesError
 from .surfaces import (
     PRESET_NAMES,
     SurfaceDataError,
@@ -369,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     except InsufficientPowers as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, SeriesError, SurfaceDataError) as exc:
+    except (OSError, ValueError, SurfaceDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

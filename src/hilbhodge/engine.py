@@ -16,14 +16,16 @@ and the test suite exercise that agreement on arbitrary tables.
 
 The Euler side has two kernels, :func:`_super_product` (binomial factors
 multiplied in the ring) and :func:`_exp_layers` (the exp recurrence that
-:func:`_exp_product` feeds); a one-variable series is a list of t-layers
-``{power: coeff}``.  The two sides of a ``verify`` identity never run through the same kernel
-unless a third check covers that kernel.  Which checks fail when a single
-kernel is wrong (the two Euler kernels, ``TriSeries.__mul__``, the strata
-kernels, ``verify``'s own Euler witness) is pinned in ``tests/test_cli.py::_KERNEL_FAULTS``;
-that table is the route map.  The Euler side imports nothing from
-:mod:`hilbhodge.strata` (a test checks that the four Euler builders leave it
-unloaded), so product-vs-partition compares two kernels that share no code.
+:func:`_exp_product` feeds).  Every series reaches its readers as t-layers,
+``{(p, q): coeff}`` dicts or one-variable ``{power: coeff}`` ones, and one
+space as a :class:`HodgePolynomial`.  The two sides of a ``verify`` identity
+never run through the same kernel unless a third check covers that kernel.
+Which checks fail when a single kernel is wrong (the two Euler kernels,
+``TriSeries.__mul__``, the strata kernels, ``verify``'s own Euler witness)
+is pinned in ``tests/test_cli.py::_KERNEL_FAULTS``; that table is the route
+map.  The Euler side imports nothing from :mod:`hilbhodge.strata` (a test
+checks that the four Euler builders leave it unloaded), so
+product-vs-partition compares two kernels that share no code.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def hilb_series(table: TwistedTable, trunc_t: int) -> TriSeries:
 
 def hilb_coefficient(table: TwistedTable, n: int) -> HodgePolynomial:
     """Twisted Hodge numbers of Hilb^n S via the product route."""
-    return HodgePolynomial(hilb_series(table, n).coefficient_of_t(n), 2 * n)
+    return HodgePolynomial(hilb_series(table, n).layers()[n], 2 * n)
 
 
 # -- nested Hilbert schemes ------------------------------------------------
@@ -271,9 +273,7 @@ def nested_coefficient(
     table_l: TwistedTable, table_llp: TwistedTable, n: int
 ) -> HodgePolynomial:
     """Twisted Hodge numbers of Hilb^{n, n+1} S via the product route."""
-    return HodgePolynomial(
-        nested_series(table_l, table_llp, n).coefficient_of_t(n), 2 * n + 2
-    )
+    return HodgePolynomial(nested_series(table_l, table_llp, n).layers()[n], 2 * n + 2)
 
 
 # -- chi_y genera along three routes ---------------------------------------
@@ -362,17 +362,17 @@ def chi_y_from_hodge(table: TwistedTable, trunc_t: int) -> list[GradedDims]:
     t-layers are keyed by the power of y like the other two routes.
     """
     _require_powers(table, trunc_t, "chi_y_from_hodge")
-    return chi_y_from_hodge_series(hilb_series(table, trunc_t))
+    return chi_y_from_hodge_series(hilb_series(table, trunc_t).layers())
 
 
-def chi_y_from_hodge_series(series: TriSeries) -> list[GradedDims]:
-    """:func:`chi_y_from_hodge` of an already expanded :func:`hilb_series`.
+def chi_y_from_hodge_series(layers: list[dict[tuple[int, int], int]]) -> list[GradedDims]:
+    """:func:`chi_y_from_hodge` of the t-layers of an expanded :func:`hilb_series`.
 
     Layer by layer, x^p y^q goes to (-y)^p (-1)^q: the t^n coefficient is
     sum (-1)^(p+q) h^{p,q} y^p over the layer's terms.
     """
     out = []
-    for layer in series.layers():
+    for layer in layers:
         acc: GradedDims = {}
         for (p, q), h in layer.items():
             acc[p] = acc.get(p, 0) + (-1) ** (p + q) * h

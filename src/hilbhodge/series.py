@@ -1,14 +1,15 @@
 """Exact truncated formal power series in the commuting variables x, y, t.
 
-Every Hodge series in this package lives in the truncated ring
+A :class:`TriSeries` is an element of the truncated ring
 ``Z[x, y][[t]] / (t^(N+1))``: a sparse map from exponent triples
 ``(e_x, e_y, e_t)`` to integer coefficients, cut off t-adically at a
-fixed order ``trunc_t = N``.  Every number the package computes is a
-dimension, so coefficients are Python ints and nothing else: a float, a
-bool or a :class:`fractions.Fraction` raises ``TypeError``.  The layer of
-one power of t, :meth:`TriSeries.coefficient_of_t`, is a plain
-``{(e_x, e_y): coeff}`` dict; :meth:`TriSeries.layers` splits off all of
-them in one pass.
+fixed order ``trunc_t = N``.  The ring is where the super-symmetric Euler
+products (:func:`~hilbhodge.engine._super_product`) multiply out; every
+reader takes the result apart with :meth:`TriSeries.layers`, one plain
+``{(e_x, e_y): coeff}`` dict per power of t, and the rest of the package
+passes series around as those t-layers.  Every number the package
+computes is a dimension, so coefficients are Python ints and nothing
+else: a float, a bool or a :class:`fractions.Fraction` raises ``TypeError``.
 
 Values are immutable after construction and every operation is a pure
 function, so series can be shared freely across threads and coefficients
@@ -21,15 +22,7 @@ from collections.abc import Iterable, Mapping
 
 Monomial = tuple[int, int, int]
 
-__all__ = ["Monomial", "SeriesError", "TriSeries", "TruncationExceeded"]
-
-
-class SeriesError(Exception):
-    """Base class for series arithmetic errors."""
-
-
-class TruncationExceeded(SeriesError):
-    """A coefficient beyond the truncation order was requested."""
+__all__ = ["Monomial", "TriSeries"]
 
 
 def _exact(value: int) -> None:
@@ -161,16 +154,8 @@ class TriSeries:
     # -- extraction --------------------------------------------------------
 
     def layers(self) -> list[dict[tuple[int, int], int]]:
-        """Every t-layer in one pass: entry n is :meth:`coefficient_of_t` of n."""
+        """Every t-layer in one pass: entry n is the (e_x, e_y) -> coeff dict of t^n."""
         out = [{} for _ in range(self.trunc_t + 1)]
         for (ex, ey, et), value in self._terms.items():
             out[et][(ex, ey)] = value
         return out
-
-    def coefficient_of_t(self, n: int) -> dict[tuple[int, int], int]:
-        """The exact (x, y)-polynomial multiplying t^n: an (e_x, e_y) -> coeff dict."""
-        if n < 0 or n > self.trunc_t:
-            raise TruncationExceeded(
-                f"t^{n} is outside the computed range 0..{self.trunc_t}"
-            )
-        return {(ex, ey): v for (ex, ey, et), v in self._terms.items() if et == n}

@@ -6,12 +6,13 @@ of an even generator and C(h, j) of an odd one (``math.comb``), and a
 product one int multiply: :func:`hilb_strata` folds the Sym^a tables into
 the layers of all n <= N one part size k at a time, :func:`nested_via_strata`
 convolves those layers with the residual tables.  The Sym tables alone serve
-:func:`sym_power_twisted_hodge` and the deformation dimensions.
+:func:`sym_power_twisted_hodge` and the deformation dimensions.  A series
+comes out as ``{(p, q): dim}`` t-layers, one space as a ``HodgePolynomial``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from math import comb
 
 from .engine import GradedDims, HodgePolynomial, _require_powers
@@ -28,12 +29,10 @@ __all__ = [
 # The Sym tables of the strata route are packed polynomials: one
 # nonnegative int holding the coefficient of x^p y^q in the ``slot``-bit
 # slot number ``p * width + q``.  A product of two packed polynomials is
-# one int multiply, exact while every coefficient of the product and of
-# its factors fits a slot and every q-degree stays below ``width``
-# (Kronecker substitution; all coefficients here are dimensions, so no
-# sign ever borrows across a slot).  Each caller sizes the slot from an
-# exact bound: a coefficient never exceeds its polynomial's value at
-# x = y = 1, and those totals are computed in plain ints first.
+# one int multiply (Kronecker substitution), exact integer arithmetic, so
+# a result unpacks correctly once each of its coefficients fits a slot and
+# its q-degree stays below ``width``; all coefficients are dimensions, so no
+# sign ever borrows across a slot.
 
 
 def _slot_bits(bound: int) -> int:
@@ -55,6 +54,12 @@ def _unpack(packed: int, width: int, slot: int) -> dict[tuple[int, int], int]:
         if value:
             terms[divmod(start // size, width)] = value
     return terms
+
+
+def _kronecker(packed: Callable[[int, int], list[int]], width: int) -> list[dict]:
+    """Unpack ``packed(width, slot)``; ``packed(0, 0)``, at x = y = 1, sizes the slot."""
+    slot = _slot_bits(max(packed(0, 0)))
+    return [_unpack(layer, width, slot) for layer in packed(width, slot)]
 
 
 def _sym_layers(
@@ -98,8 +103,7 @@ def _sym_terms(
     a ``top`` they have checked to be nonnegative.
     """
     width = top * max((max(pq) for pq, v in dims.items() if v), default=0) + 1
-    slot = _slot_bits(max(_sym_layers(dims, top, 0, 0)))
-    return [_unpack(layer, width, slot) for layer in _sym_layers(dims, top, width, slot)]
+    return _kronecker(lambda width, slot: _sym_layers(dims, top, width, slot), width)
 
 
 def sym_power_twisted_hodge(diamond: SurfaceDiamond, a: int) -> HodgePolynomial:
@@ -125,9 +129,9 @@ def _strata(table: TwistedTable, n: int, width: int, slot: int) -> list[int]:
     of prod_k sum_a Sym^a(k-th diamond) (xy)^{(k-1)a} t^{ka}.  Pass k
     multiplies factor k in: acc[m] += acc[m - ka] Sym^a, shifted by
     (k-1) a diagonal slots, with m descending so acc[m - ka] lacks part k.
-    With ``width = slot = 0`` each layer is its value at x = y = 1; that
-    bounds every coefficient of every partial product, since all terms are
-    nonnegative and a partial product is a sub-sum of its final layer.
+    With ``width = slot = 0`` each layer is its value at x = y = 1: all
+    terms are nonnegative, so it bounds the layer's coefficients, and only
+    the unpacked layers need to fit a slot (:func:`_kronecker`).
     """
     diagonal = (width + 1) * slot
     acc = [1] + [0] * n
@@ -139,25 +143,21 @@ def _strata(table: TwistedTable, n: int, width: int, slot: int) -> list[int]:
     return acc
 
 
-def hilb_strata(table: TwistedTable, trunc_t: int) -> list[HodgePolynomial]:
+def hilb_strata(table: TwistedTable, trunc_t: int) -> list[dict[tuple[int, int], int]]:
     """Twisted Hodge numbers of Hilb^n S for every n <= N via the stratum sum.
 
-    The stratum of a partition (1^a1 ... r^ar) of n contributes the
-    product of the symmetric-power tables Sym^{a_k} of the k-th twisted
+    Entry n is the t-layer ``{(p, q): h^{p,q}(Hilb^n S, L_n)}``.  The stratum
+    of a partition (1^a1 ... r^ar) of n contributes the product of the
+    symmetric-power tables Sym^{a_k} of the k-th twisted
     diamond, shifted by n - len in both p and q.  The sum over partitions
     is evaluated one part size at a time (:func:`_strata`): once at
     x = y = 1 for the slot width, then packed (layer n lives in
     [0, 2n]^2, so width = 2N + 1), where a product is one int multiply and
     the shift by (xy)^s is a left shift by s * (width + 1) slots.
-    Entry n must agree exactly with :func:`~hilbhodge.engine.hilb_coefficient`.
+    It must equal ``hilb_series(table, N).layers()`` exactly.
     """
     _require_powers(table, trunc_t, "hilb_strata")
-    width = 2 * trunc_t + 1
-    slot = _slot_bits(max(_strata(table, trunc_t, 0, 0)))
-    return [
-        HodgePolynomial(_unpack(layer, width, slot), 2 * n)
-        for n, layer in enumerate(_strata(table, trunc_t, width, slot))
-    ]
+    return _kronecker(lambda width, slot: _strata(table, trunc_t, width, slot), 2 * trunc_t + 1)
 
 
 def hilb_via_partitions(table: TwistedTable, n: int) -> HodgePolynomial:
@@ -167,7 +167,7 @@ def hilb_via_partitions(table: TwistedTable, n: int) -> HodgePolynomial:
     :func:`~hilbhodge.engine.hilb_coefficient`.
     """
     _require_powers(table, n, "hilb_via_partitions")
-    return hilb_strata(table, n)[n]
+    return HodgePolynomial(hilb_strata(table, n)[n], 2 * n)
 
 
 def nested_via_strata(
@@ -188,17 +188,12 @@ def nested_via_strata(
     _require_powers(table_l, n, "nested_via_strata")
     _require_powers(table_llp, n, "nested_via_strata (residual bundle)")
     residuals = [table_llp.diamond(j).bigraded() for j in range(n + 1)]
-    totals = _strata(table_l, n, 0, 0)
-    # every coefficient is at most the sum's value at x = y = 1
-    bound = sum(totals[n - j] * sum(residuals[j].values()) for j in range(n + 1))
-    width = 2 * n + 3
-    slot = _slot_bits(max(totals + [bound]))
-    layers = _strata(table_l, n, width, slot)
-    acc = sum(
-        layers[n - j] * _pack(residuals[j], width, slot) << j * (width + 1) * slot
-        for j in range(n + 1)
-    )
-    return HodgePolynomial(_unpack(acc, width, slot), 2 * n + 2)
+
+    def packed(width: int, slot: int) -> list[int]:
+        layers = _strata(table_l, n, width, slot)
+        return [sum(layers[n - j] * _pack(residuals[j], width, slot) << j * (width + 1) * slot
+                    for j in range(n + 1))]
+    return HodgePolynomial(_kronecker(packed, 2 * n + 3)[0], 2 * n + 2)
 
 
 # -- deformation theory ------------------------------------------------------

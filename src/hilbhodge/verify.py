@@ -3,8 +3,9 @@
 :func:`run` prints one ``name: PASS``, ``SKIP (reason)`` or ``FAIL (reason)``
 line per check, then ``all checks passed`` (exit 0) or the first failing
 check (exit 3).  The shared series ``hilb_series(N)`` is expanded once, in
-process, before the first check; if it fails, so does each check that
-reads it.  A two-path FAIL names the first differing entry, the
+process, before the first check, as one ``HodgePolynomial`` per t-layer;
+if it fails, or a layer is no table of dimensions, so does each check
+that reads it.  A two-path FAIL names the first differing entry, the
 Euler-product side first (``paths disagree at n=2, (p, q)=(2, 2): 232 != 233``).
 ``euler-witness`` evaluates every shared layer mod 2^61 - 1 at five points
 against :func:`_witness`, which runs no kernel of the program, and names the
@@ -21,7 +22,6 @@ from collections.abc import Callable
 
 from . import engine
 from .engine import EngineError, HodgePolynomial, InsufficientPowers
-from .series import TriSeries
 from .surfaces import SurfaceDataset, TwistedTable
 
 __all__ = ["run"]
@@ -80,23 +80,24 @@ def _witness(table: TwistedTable, N: int) -> list[list[int]]:
     return out
 
 
-def _expand(table: TwistedTable, N: int) -> Callable[[], tuple[TriSeries, list[HodgePolynomial]]]:
-    """A call that returns ``engine.hilb_series(table, N)`` and its layers.
+def _expand(table: TwistedTable, N: int) -> Callable[[], list[HodgePolynomial]]:
+    """A call that returns the t-layers of ``engine.hilb_series(table, N)`` as polynomials.
 
-    ``InsufficientPowers`` propagates at once.  Any other ``EngineError`` is
-    re-raised by each call, so it fails each check that reads the series.
+    ``InsufficientPowers`` propagates at once.  Any other ``EngineError``, or
+    the ``ValueError`` of a layer that is no table of dimensions (a negative
+    entry, or one outside [0, 2n]^2), fails each check that reads the series.
     """
     try:
-        series = engine.hilb_series(table, N)
+        layers = engine.hilb_series(table, N).layers()
+        shared = [HodgePolynomial(layer, 2 * n) for n, layer in enumerate(layers)]
     except InsufficientPowers:
         raise
-    except EngineError as exc:
-        error = exc
+    except (EngineError, ValueError) as exc:
+        message = str(exc)
 
         def failed():
-            raise error
+            raise _CheckFailed(message)
         return failed
-    shared = series, [HodgePolynomial(layer, 2 * n) for n, layer in enumerate(series.layers())]
     return lambda: shared
 
 
@@ -105,28 +106,26 @@ def _verify_checks(ds: SurfaceDataset, N: int, shared: Callable):
     table = ds.table
 
     def product_vs_partition() -> None:
-        strata = [dict(poly.items()) for poly in engine.hilb_strata(table, N)]
-        _compare_layers([dict(poly.items()) for poly in shared()[1]], strata, "(p, q)")
+        strata = engine.hilb_strata(table, N)
+        _compare_layers([dict(poly.items()) for poly in shared()], strata, "(p, q)")
 
     def chi_y_three_way() -> None:
         by_product = engine.chi_y_product(table, N)
         _compare_layers(by_product, engine.chi_y_exp(table, N), "y")
-        _compare_layers(by_product, engine.chi_y_from_hodge_series(shared()[0]), "y")
+        by_hodge = engine.chi_y_from_hodge_series([dict(poly.items()) for poly in shared()])
+        _compare_layers(by_product, by_hodge, "y")
 
     def frolicher() -> None:
         if not table.is_constant():
             raise _CheckSkipped("table is not a trivial-bundle table")
         betti = engine.betti_series(ds.betti, N)
         # b_i(Hilb^n) = sum_{p+q=i} h^{p,q}(Hilb^n), layer by layer
-        _compare_layers(
-            [{i: b for i, b in enumerate(poly.collapse_total_degree()) if b} for poly in shared()[1]],
-            betti,
-            "i",
-        )
+        sums = [poly.collapse_total_degree() for poly in shared()]
+        _compare_layers([{i: b for i, b in enumerate(s) if b} for s in sums], betti, "i")
 
     def hochschild_two_path() -> None:
         want = engine.hh_rhs_series(table, N)
-        _compare_layers([poly.collapse_hodge_degree() for poly in shared()[1]], want, "i")
+        _compare_layers([poly.collapse_hodge_degree() for poly in shared()], want, "i")
 
     def nested_two_path() -> None:
         depth = min(N, 4)
@@ -157,13 +156,13 @@ def _verify_checks(ds: SurfaceDataset, N: int, shared: Callable):
             raise _CheckSkipped("needs N >= 3")
         formulas = {n: engine.deformation_dims(din, n, 3) for n in (2, 3)}
         for n, formula in formulas.items():
-            column = engine.tangent_dims_from_layer(shared()[1][n], 3)
+            column = engine.tangent_dims_from_layer(shared()[n], 3)
             if formula != column:
                 raise _CheckFailed(f"n={n}: formula {formula} != series column {column}")
 
     def euler_witness() -> None:
         witness, powers = _witness(table, N), _point_powers(N)
-        for n, poly in enumerate(shared()[1]):
+        for n, poly in enumerate(shared()):
             for i, (xs, ys) in enumerate(powers):
                 value = sum(c * xs[p] * ys[q] for (p, q), c in poly.items()) % _P
                 if value != witness[i][n]:

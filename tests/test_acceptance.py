@@ -113,7 +113,7 @@ def test_criterion_04_product_vs_partition_on_random_tables():
         table = random_table(rng, 6, hi=3)
         series = hilb_series(table, 6)
         for n in range(7):
-            product_route = HodgePolynomial(series.coefficient_of_t(n), 2 * n)
+            product_route = HodgePolynomial(series.layers()[n], 2 * n)
             assert product_route == hilb_via_partitions(table, n), (trial, n)
     _finish(4, started, 30.0, "100 random tables agree on both routes for n <= 6")
 
@@ -152,7 +152,7 @@ def test_criterion_06_nested_consistency():
         table_lp = random_table(rng, 4, hi=3)
         series = nested_series(table_l, table_lp, 4)
         for n in range(5):
-            got = HodgePolynomial(series.coefficient_of_t(n), 2 * n + 2)
+            got = HodgePolynomial(series.layers()[n], 2 * n + 2)
             assert got == nested_via_strata(table_l, table_lp, n), (trial, n)
     _finish(
         6,

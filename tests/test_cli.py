@@ -1,6 +1,5 @@
 """Command-line surface: rendering, schemas, exit codes, verification."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +9,6 @@ import pytest
 from conftest import fresh_interpreter, plus, run_cli, src_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cli_golden import GOLDEN, TWISTED
 from test_engine import small_or_huge, twisted_tables
 
 from hilbhodge import engine, strata, verify
@@ -241,10 +239,7 @@ def test_verify_failure_names_the_first_differing_entry(monkeypatch):
     monkeypatch.setattr(
         engine,
         "hilb_strata",
-        lambda table, N: [
-            _bump(_bump(poly, 3, 1), 2, 2) if n == 2 else poly
-            for n, poly in enumerate(hilb_strata(table, N))
-        ],
+        lambda table, N: _bumped(_bumped(hilb_strata(table, N), 2, (3, 1)), 2, (2, 2)),
     )
     monkeypatch.setattr(  # b_2 of Hilb^2
         engine, "betti_series", lambda betti, N: _bumped(betti_series(betti, N), 2, 2)
@@ -291,7 +286,7 @@ def test_verify_chi_y_failure_names_the_first_differing_power(monkeypatch):
     monkeypatch.setattr(  # the Hodge specialisation, checked second
         engine,
         "chi_y_from_hodge_series",
-        lambda series: _bumped(chi_y_from_hodge_series(series), 2, 1, -1),
+        lambda layers: _bumped(chi_y_from_hodge_series(layers), 2, 1, -1),
     )
     code, out, err = run_cli("verify", "--preset", "k3", "-N", "4")
     assert (code, err) == (3, "")
@@ -533,7 +528,7 @@ def test_witness_is_both_routes_at_every_point_and_sees_one_changed_entry(case, 
     N, table = case
     witness, powers = verify._witness(table, N), verify._point_powers(N)
     series = engine.hilb_series(table, N).layers()
-    for layers in (series, [dict(poly.items()) for poly in engine.hilb_strata(table, N)]):
+    for layers in (series, engine.hilb_strata(table, N)):
         for (xs, ys), values in zip(powers, witness):
             assert values == [
                 sum(c * xs[p] * ys[q] for (p, q), c in layer.items()) % verify._P
@@ -542,7 +537,7 @@ def test_witness_is_both_routes_at_every_point_and_sees_one_changed_entry(case, 
     ds = SurfaceDataset("random", table)
 
     def witness_check(polys):  # euler-witness, reading ``polys`` as the shared layers
-        return dict(verify._verify_checks(ds, N, lambda: (None, polys)))["euler-witness"]
+        return dict(verify._verify_checks(ds, N, lambda: polys))["euler-witness"]
 
     polys = [HodgePolynomial(layer, 2 * n) for n, layer in enumerate(series)]
     witness_check(polys)()
@@ -576,44 +571,58 @@ def _no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("dataset", ["hopf", "k3", "twisted"])
-def test_verify_golden_digests_with_and_without_fork(dataset, fork, tmp_path):
-    args = ("--preset", dataset)
-    if dataset == "twisted":
-        path = tmp_path / "twisted.json"
-        path.write_text(json.dumps(TWISTED))
-        args = ("--input", str(path))
-    code, out, err = run_cli("verify", *args, "-N", "4")
-    _no_child_left()
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert (code, digest, err) == (*GOLDEN[f"{dataset} verify -N 4"], "")
+_FAILED_SERIES_LINES = [
+    "product-vs-partition: FAIL ({})",
+    "chi-y-three-way: FAIL ({})",
+    "frolicher: FAIL ({})",
+    "hochschild-two-path: FAIL ({})",
+    "nested-two-path: PASS",
+    "deformation-closed-forms: PASS",
+    "deformation-omega-trivial: FAIL ({})",
+    "euler-witness: FAIL ({})",
+    "verification FAILED; first failing check: product-vs-partition",
+]
+
+
+def _verify_k3_with_the_shared_series(corrupt, monkeypatch):
+    # only the shared series (N=6) is corrupted; nested-two-path (depth 4)
+    # expands its own product and still passes
+    hilb_series = engine.hilb_series
+    monkeypatch.setattr(
+        engine, "hilb_series",
+        lambda table, N: corrupt(hilb_series(table, N)) if N == 6 else hilb_series(table, N),
+    )
+    return run_cli("verify", "--preset", "k3", "-N", "6")
+
+
+def _boom(series):
+    raise IntegralityFailure("boom")
 
 
 def test_verify_fails_each_check_that_reads_a_failed_series(monkeypatch, fork):
-    # only the shared series (N=6) fails; nested-two-path (depth 4) expands
-    # its own product and still passes
-    hilb_series = engine.hilb_series
-
-    def boom(table, N):
-        if N == 6:
-            raise IntegralityFailure("boom")
-        return hilb_series(table, N)
-
-    monkeypatch.setattr(engine, "hilb_series", boom)
-    code, out, err = run_cli("verify", "--preset", "k3", "-N", "6")
+    code, out, err = _verify_k3_with_the_shared_series(_boom, monkeypatch)
     _no_child_left()
     assert (code, err) == (3, "")
-    assert out.splitlines() == [
-        "product-vs-partition: FAIL (boom)",
-        "chi-y-three-way: FAIL (boom)",
-        "frolicher: FAIL (boom)",
-        "hochschild-two-path: FAIL (boom)",
-        "nested-two-path: PASS",
-        "deformation-closed-forms: PASS",
-        "deformation-omega-trivial: FAIL (boom)",
-        "euler-witness: FAIL (boom)",
-        "verification FAILED; first failing check: product-vs-partition",
-    ]
+    assert out.splitlines() == [line.format("boom") for line in _FAILED_SERIES_LINES]
+
+
+def _with_entry(key, value):
+    return lambda series: TriSeries({**dict(series.sorted_terms()), key: value}, series.trunc_t)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # no table of dimensions: a FAIL, not an input error (exit 1)
+        (_with_entry((0, 4, 2), -4), "negative dimension -4 at (p, q)=(0, 4)"),
+        (_with_entry((5, 0, 2), 1), "(p, q)=(5, 0) outside [0, 4]^2"),
+    ],
+    ids=["negative", "outside"],
+)
+def test_verify_fails_each_check_that_reads_a_malformed_series(corrupt, message, monkeypatch):
+    code, out, err = _verify_k3_with_the_shared_series(corrupt, monkeypatch)
+    assert (code, err) == (3, "")
+    assert out.splitlines() == [line.format(message) for line in _FAILED_SERIES_LINES]
 
 
 def test_verify_starts_no_process(monkeypatch):

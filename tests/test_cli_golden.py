@@ -2,7 +2,8 @@
 and the argparse error and help text of every subcommand.
 
 Each entry pins the sha256 of stdout and the exit code of one command on
-``hopf``, ``k3`` or an inline twisted dataset with ``nested_diamonds``.
+``hopf``, ``k3`` or an inline twisted dataset with ``nested_diamonds``;
+stderr is empty except on the three ``deform`` commands on ``hopf``.
 The argparse pins hold the exact stderr of each argument error (exit 1,
 empty stdout) and the digest of each ``--help`` text.
 A change that is meant to keep the output byte-identical must keep every
@@ -197,6 +198,13 @@ GOLDEN = {
 }
 
 
+# stderr of the commands that exit nonzero; every other command writes none
+GOLDEN_STDERR = {
+    f"hopf deform -n 3{fmt}": "error: dataset carries no deformation block\n"
+    for fmt in ("", " --format json", " --format text")
+}
+
+
 def _key(dataset: str, argv: tuple[str, ...]) -> str:
     return f"{dataset} {' '.join(argv)}"
 
@@ -221,9 +229,10 @@ def test_golden_covers_every_command():
 def test_cli_output_matches_golden_digests(dataset, dataset_args):
     for argv in _commands():
         command, *rest = argv
-        code, out, _ = run_cli(command, *dataset_args[dataset], *rest)
+        code, out, err = run_cli(command, *dataset_args[dataset], *rest)
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert (code, digest) == GOLDEN[_key(dataset, argv)], _key(dataset, argv)
+        key = _key(dataset, argv)
+        assert (code, digest, err) == (*GOLDEN[key], GOLDEN_STDERR.get(key, "")), key
 
 
 # -- the argparse surface: error text and help, at COLUMNS=80 ------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbhodge.engine import IntegralityFailure, _exp_layers, _super_product
-from hilbhodge.series import TriSeries, TruncationExceeded
+from hilbhodge.series import TriSeries
 
 ONE = TriSeries.one(4)
 ONE_MINUS_T = TriSeries({(0, 0, 0): 1, (0, 0, 1): -1}, 4)
@@ -161,12 +161,7 @@ def test_exp_of_power_sums_is_geometric():
 
 def test_coefficient_of_t_picks_diagonal():
     s = TriSeries({(n, n, n): 1 for n in range(5)}, 4)
-    assert s.coefficient_of_t(3) == {(3, 3): 1}
-
-
-def test_coefficient_of_t_out_of_range():
-    with pytest.raises(TruncationExceeded):
-        ONE.coefficient_of_t(5)
+    assert s.layers()[3] == {(3, 3): 1}
 
 
 @pytest.mark.parametrize(
@@ -185,7 +180,10 @@ def test_coefficient_of_t_out_of_range():
 def test_layers_are_every_coefficient_of_t(series):
     layers = series.layers()
     assert len(layers) == series.trunc_t + 1
-    assert layers == [series.coefficient_of_t(n) for n in range(series.trunc_t + 1)]
+    assert layers == [
+        {(ex, ey): v for (ex, ey, et), v in series.sorted_terms() if et == n}
+        for n in range(series.trunc_t + 1)
+    ]
 
 
 # -- the Euler product builder ------------------------------------------------------------------
