@@ -9,9 +9,10 @@ Hilbert schemes (Douady spaces) Hilb^n S and of the nested spaces
 Hilb^{n,n+1} S.
 
 The package namespace holds the calls of the README's library example,
-their result types and the error types; every other name is imported
-from its submodule (``hilbhodge.engine``, ``hilbhodge.strata``,
-``hilbhodge.series``, ``hilbhodge.surfaces``, ``hilbhodge.verify``).
+their result types and the error types; a series comes back as a plain
+list of t-layers, one ``{(p, q): h}`` dict per power of t.  Every other
+name is imported from its submodule (``hilbhodge.engine``,
+``hilbhodge.strata``, ``hilbhodge.surfaces``, ``hilbhodge.verify``).
 """
 
 from .engine import (
@@ -22,7 +23,6 @@ from .engine import (
     hilb_coefficient,
     hilb_series,
 )
-from .series import TriSeries
 from .surfaces import SurfaceDataError, SurfaceDataset, preset
 
 __version__ = "0.1.0"

@@ -149,7 +149,7 @@ def _cmd_hilb(args: argparse.Namespace) -> int:
         print(_render(poly, args.n, fmt))
         return 0
     ds = _dataset(args, args.N)
-    layers = engine.hilb_series(ds.table, args.N).layers()
+    layers = engine.hilb_series(ds.table, args.N)
     if fmt == "json":
         payload = {
             "N": args.N,

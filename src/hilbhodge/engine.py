@@ -5,8 +5,8 @@ surface (the family ``h^{p,q}(S, L^k)``) to graded dimensions of the
 associated Hilbert schemes ``Hilb^n S`` carrying the naturally induced
 line bundle.  Each quantity is computable along two independent routes:
 
-* a multiplicative route, an Euler product expanded in
-  :class:`~hilbhodge.series.TriSeries` or in t-layers (this module);
+* a multiplicative route, an Euler product expanded into t-layers
+  (this module);
 * an additive route, a sum over integer partitions of super symmetric
   powers of the surface table (:mod:`hilbhodge.strata`, whose names
   resolve here too and load that module on first use).
@@ -15,10 +15,11 @@ The two routes must agree exactly; ``verify`` (:mod:`hilbhodge.verify`)
 and the test suite exercise that agreement on arbitrary tables.
 
 The Euler side has two kernels, :func:`_super_product` (binomial factors
-multiplied in the ring) and :func:`_exp_layers` (the exp recurrence that
-:func:`_exp_product` feeds).  Every series reaches its readers as t-layers,
-``{(p, q): coeff}`` dicts or one-variable ``{power: coeff}`` ones, and one
-space as a :class:`HodgePolynomial`.  The two sides of a ``verify`` identity
+multiplied in its private ring, :class:`~hilbhodge.series.TriSeries`) and
+:func:`_exp_layers` (the exp recurrence that :func:`_exp_product` feeds).
+Every series function returns a list of t-layers, ``{(p, q): coeff}`` dicts
+or one-variable ``{power: coeff}`` ones, and one space comes as a
+:class:`HodgePolynomial`.  The two sides of a ``verify`` identity
 never run through the same kernel unless a third check covers that kernel.
 Which checks fail when a single kernel is wrong (the two Euler kernels,
 ``TriSeries.__mul__``, the strata kernels, ``verify``'s own Euler witness)
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 
-from .series import TriSeries, _exact, _format_terms
+from .series import TriSeries, _exact
 from .surfaces import SurfaceDataset, TwistedTable
 
 GradedDims = dict[int, int]
@@ -113,6 +114,28 @@ def _nested_table(ds: SurfaceDataset, needed: int, who: str, error: type) -> Twi
     return llp
 
 
+def _format_terms(terms: Iterable[tuple[int, list[tuple[str, int]]]]) -> str:
+    """Render (coefficient, [(symbol, exponent), ...]) pairs as a polynomial."""
+    pieces: list[str] = []
+    for coeff, powers in terms:
+        factors = []
+        for symbol, exponent in powers:
+            if exponent == 1:
+                factors.append(symbol)
+            elif exponent:
+                factors.append(f"{symbol}^{exponent}")
+        negative = coeff < 0
+        magnitude = -coeff if negative else coeff
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        text = "*".join(factors)
+        if not pieces:
+            pieces.append(f"-{text}" if negative else text)
+        else:
+            pieces.append(f"- {text}" if negative else f"+ {text}")
+    return " ".join(pieces) if pieces else "0"
+
+
 class HodgePolynomial:
     """Twisted Hodge numbers of one fixed space: a finite (p, q) -> dim map."""
 
@@ -191,8 +214,8 @@ class HodgePolynomial:
 
 def _super_product(
     level: Callable[[int], Iterable[_SuperGenerator]], trunc_t: int
-) -> TriSeries:
-    """The super-symmetric Euler product of the generators ``level(k)``, k >= 1.
+) -> list[dict[tuple[int, int], int]]:
+    """The t-layers of the super-symmetric Euler product of ``level(k)``, k >= 1.
 
     A generator ``(ex, ey, odd, h)`` of level k stands for h copies of
     x^ex y^ey t^k and contributes (1 - s x^ex y^ey t^k)^(-s h), s = -1
@@ -217,15 +240,15 @@ def _super_product(
                 c = c * (h + s * j) // (j + 1)
             f = f * TriSeries(terms, trunc_t)
         result = result * f
-    return result
+    return result.layers()
 
 
-def hilb_series(table: TwistedTable, trunc_t: int) -> TriSeries:
-    """Three-variable series of twisted Hodge numbers of all Hilb^n S, n <= N.
+def hilb_series(table: TwistedTable, trunc_t: int) -> list[dict[tuple[int, int], int]]:
+    """Twisted Hodge numbers of all Hilb^n S, n <= N, as t-layers.
 
-    The coefficient of x^p y^q t^n is h^{p,q}(Hilb^n S, L_n).  The level-k
-    generators are the k-th diamond shifted to (p+k-1, q+k-1), so every
-    term satisfies e_x <= 2 e_t and e_y <= 2 e_t.
+    Entry n is ``{(p, q): h^{p,q}(Hilb^n S, L_n)}``.  The level-k generators
+    are the k-th diamond shifted to (p+k-1, q+k-1), so every key of layer n
+    lies in [0, 2n]^2.
     """
     _require_powers(table, trunc_t, "hilb_series")
     return _super_product(
@@ -239,7 +262,7 @@ def hilb_series(table: TwistedTable, trunc_t: int) -> TriSeries:
 
 def hilb_coefficient(table: TwistedTable, n: int) -> HodgePolynomial:
     """Twisted Hodge numbers of Hilb^n S via the product route."""
-    return HodgePolynomial(hilb_series(table, n).layers()[n], 2 * n)
+    return HodgePolynomial(hilb_series(table, n)[n], 2 * n)
 
 
 # -- nested Hilbert schemes ------------------------------------------------
@@ -247,33 +270,34 @@ def hilb_coefficient(table: TwistedTable, n: int) -> HodgePolynomial:
 
 def nested_series(
     table_l: TwistedTable, table_llp: TwistedTable, trunc_t: int
-) -> TriSeries:
-    """Series for the nested spaces Hilb^{n, n+1} S with both bundles.
+) -> list[dict[tuple[int, int], int]]:
+    """Twisted Hodge numbers of the nested spaces Hilb^{n, n+1} S, as t-layers.
 
     ``table_llp`` holds h^{p,q}(S, L^j x L') for j = 0..N.  The result is
     the Hilb series of ``table_l`` times the residual-point series
-    sum_j E(S, L^j x L')(x, y) (xy)^j t^j, convolved layer by layer; terms
-    satisfy e_x, e_y <= 2 e_t + 2.
+    sum_j E(S, L^j x L')(x, y) (xy)^j t^j, convolved layer by layer; the
+    keys of layer n lie in [0, 2n + 2]^2.
     """
     _require_powers(table_l, trunc_t, "nested_series")
     _require_powers(table_llp, trunc_t, "nested_series (residual bundle)")
-    hilb = hilb_series(table_l, trunc_t).layers()
-    terms: dict[tuple[int, int, int], int] = {}
+    hilb = hilb_series(table_l, trunc_t)
+    layers: list[dict[tuple[int, int], int]] = [{} for _ in range(trunc_t + 1)]
     for j in range(trunc_t + 1):
         tail = table_llp.diamond(j).bigraded().items()
         for n in range(trunc_t + 1 - j):
+            layer = layers[n + j]
             for (a, b), u in hilb[n].items():
                 for (p, q), v in tail:
-                    key = (a + p + j, b + q + j, n + j)
-                    terms[key] = terms.get(key, 0) + u * v
-    return TriSeries(terms, trunc_t)
+                    key = (a + p + j, b + q + j)
+                    layer[key] = layer.get(key, 0) + u * v
+    return [{pq: c for pq, c in layer.items() if c} for layer in layers]
 
 
 def nested_coefficient(
     table_l: TwistedTable, table_llp: TwistedTable, n: int
 ) -> HodgePolynomial:
     """Twisted Hodge numbers of Hilb^{n, n+1} S via the product route."""
-    return HodgePolynomial(nested_series(table_l, table_llp, n).layers()[n], 2 * n + 2)
+    return HodgePolynomial(nested_series(table_l, table_llp, n)[n], 2 * n + 2)
 
 
 # -- chi_y genera along three routes ---------------------------------------
@@ -286,11 +310,11 @@ def chi_y_product(table: TwistedTable, trunc_t: int) -> list[GradedDims]:
     for p = 0, 1, 2, with chi the alternating q-sum of the k-th diamond.
     """
     _require_powers(table, trunc_t, "chi_y_product")
-    series = _super_product(
+    layers = _super_product(
         lambda k: ((0, p + k - 1, 0, (-1) ** p * table.diamond(k).chi_column(p)) for p in range(3)),
         trunc_t,
     )
-    return [{ey: c for (_, ey), c in layer.items()} for layer in series.layers()]
+    return [{ey: c for (_, ey), c in layer.items()} for layer in layers]
 
 
 def chi_y_exp(table: TwistedTable, trunc_t: int) -> list[GradedDims]:
@@ -362,7 +386,7 @@ def chi_y_from_hodge(table: TwistedTable, trunc_t: int) -> list[GradedDims]:
     t-layers are keyed by the power of y like the other two routes.
     """
     _require_powers(table, trunc_t, "chi_y_from_hodge")
-    return chi_y_from_hodge_series(hilb_series(table, trunc_t).layers())
+    return chi_y_from_hodge_series(hilb_series(table, trunc_t))
 
 
 def chi_y_from_hodge_series(layers: list[dict[tuple[int, int], int]]) -> list[GradedDims]:
@@ -392,10 +416,10 @@ def betti_series(betti: Iterable[int], trunc_t: int) -> list[GradedDims]:
     b = tuple(betti)
     if len(b) != 5 or any(v < 0 for v in b):
         raise ValueError("betti numbers must be five nonnegative ints")
-    series = _super_product(
+    layers = _super_product(
         lambda k: ((i + 2 * k - 2, 0, i % 2, bi) for i, bi in enumerate(b)), trunc_t
     )
-    return [{ex: c for (ex, _), c in layer.items()} for layer in series.layers()]
+    return [{ex: c for (ex, _), c in layer.items()} for layer in layers]
 
 
 # -- Hochschild homology -----------------------------------------------------

@@ -3,22 +3,19 @@
 A :class:`TriSeries` is an element of the truncated ring
 ``Z[x, y][[t]] / (t^(N+1))``: a sparse map from exponent triples
 ``(e_x, e_y, e_t)`` to integer coefficients, cut off t-adically at a
-fixed order ``trunc_t = N``.  The ring is where the super-symmetric Euler
-products (:func:`~hilbhodge.engine._super_product`) multiply out; every
-reader takes the result apart with :meth:`TriSeries.layers`, one plain
-``{(e_x, e_y): coeff}`` dict per power of t, and the rest of the package
-passes series around as those t-layers.  Every number the package
-computes is a dimension, so coefficients are Python ints and nothing
-else: a float, a bool or a :class:`fractions.Fraction` raises ``TypeError``.
-
-Values are immutable after construction and every operation is a pure
-function, so series can be shared freely across threads and coefficients
-of independent t-orders can be consumed in parallel.
+fixed order ``trunc_t = N``.  It is the private ring of
+:func:`~hilbhodge.engine._super_product`, where the super-symmetric Euler
+products multiply out; that function alone takes the result apart with
+:meth:`TriSeries.layers`, one plain ``{(e_x, e_y): coeff}`` dict per power
+of t, and returns those t-layers, the one form in which the package passes
+series around.  Every number the package computes is a dimension, so
+coefficients are Python ints and nothing else: a float, a bool or a
+:class:`fractions.Fraction` raises ``TypeError``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 Monomial = tuple[int, int, int]
 
@@ -29,28 +26,6 @@ def _exact(value: int) -> None:
     """Reject a coefficient that is not an int; a bool is not one here."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"coefficients must be int, got {type(value).__name__}")
-
-
-def _format_terms(terms: Iterable[tuple[int, list[tuple[str, int]]]]) -> str:
-    """Render (coefficient, [(symbol, exponent), ...]) pairs as a polynomial."""
-    pieces: list[str] = []
-    for coeff, powers in terms:
-        factors = []
-        for symbol, exponent in powers:
-            if exponent == 1:
-                factors.append(symbol)
-            elif exponent:
-                factors.append(f"{symbol}^{exponent}")
-        negative = coeff < 0
-        magnitude = -coeff if negative else coeff
-        if magnitude != 1 or not factors:
-            factors.insert(0, str(magnitude))
-        text = "*".join(factors)
-        if not pieces:
-            pieces.append(f"-{text}" if negative else text)
-        else:
-            pieces.append(f"- {text}" if negative else f"+ {text}")
-    return " ".join(pieces) if pieces else "0"
 
 
 class TriSeries:
@@ -107,13 +82,6 @@ class TriSeries:
 
     def __repr__(self) -> str:
         return f"TriSeries({len(self._terms)} terms, trunc_t={self.trunc_t})"
-
-    def __str__(self) -> str:
-        rendered = _format_terms(
-            (coeff, [("x", ex), ("y", ey), ("t", et)])
-            for (ex, ey, et), coeff in self.sorted_terms()
-        )
-        return f"{rendered} + O(t^{self.trunc_t + 1})"
 
     # -- ring operations -------------------------------------------------
 

@@ -154,7 +154,7 @@ def hilb_strata(table: TwistedTable, trunc_t: int) -> list[dict[tuple[int, int],
     x = y = 1 for the slot width, then packed (layer n lives in
     [0, 2n]^2, so width = 2N + 1), where a product is one int multiply and
     the shift by (xy)^s is a left shift by s * (width + 1) slots.
-    It must equal ``hilb_series(table, N).layers()`` exactly.
+    It must equal ``hilb_series(table, N)`` exactly.
     """
     _require_powers(table, trunc_t, "hilb_strata")
     return _kronecker(lambda width, slot: _strata(table, trunc_t, width, slot), 2 * trunc_t + 1)

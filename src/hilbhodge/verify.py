@@ -88,7 +88,7 @@ def _expand(table: TwistedTable, N: int) -> Callable[[], list[HodgePolynomial]]:
     entry, or one outside [0, 2n]^2), fails each check that reads the series.
     """
     try:
-        layers = engine.hilb_series(table, N).layers()
+        layers = engine.hilb_series(table, N)
         shared = [HodgePolynomial(layer, 2 * n) for n, layer in enumerate(layers)]
     except InsufficientPowers:
         raise
@@ -131,7 +131,7 @@ def _verify_checks(ds: SurfaceDataset, N: int, shared: Callable):
         depth = min(N, 4)
         llp = engine._nested_table(ds, depth, "the check", _CheckSkipped)
         _compare_layers(
-            engine.nested_series(table, llp, depth).layers(),
+            engine.nested_series(table, llp, depth),
             [dict(engine.nested_via_strata(table, llp, n).items()) for n in range(depth + 1)],
             "(p, q)",
         )

@@ -1,6 +1,6 @@
-"""Shared helpers: random tables, series addition, the brute-force oracles
-(an Euler factor, a super symmetric power, a product), a partition
-enumerator, a capture-safe CLI runner, a fresh-interpreter probe."""
+"""Shared helpers: random tables, series addition, t-layer convolution, the
+brute-force oracles (an Euler factor, a super symmetric power, a product), a
+partition enumerator, a capture-safe CLI runner, a fresh-interpreter probe."""
 
 from __future__ import annotations
 
@@ -51,6 +51,19 @@ def plus(a: TriSeries, b: TriSeries) -> TriSeries:
     for key, value in b.sorted_terms():
         terms[key] = terms.get(key, 0) + value
     return TriSeries(terms, min(a.trunc_t, b.trunc_t))
+
+
+def convolve(a, b):
+    """The t-layers of a product of two series given as lists of (p, q) -> value maps."""
+    out = []
+    for n in range(len(a)):
+        layer = {}
+        for m in range(n + 1):
+            for (p1, q1), u in a[m].items():
+                for (p2, q2), v in b[n - m].items():
+                    layer[p1 + p2, q1 + q2] = layer.get((p1 + p2, q1 + q2), 0) + u * v
+        out.append(layer)
+    return out
 
 
 def euler_power(m, k, e, trunc, mul=operator.mul):

@@ -305,10 +305,9 @@ def test_verify_witness_failure_names_the_layer_and_the_point(monkeypatch):
         series = hilb_series(table, N)
         if N != 5:
             return series
-        terms = dict(series.sorted_terms())
-        terms[3, 3, 3] -= 1
-        terms[2, 4, 3] += 1
-        return TriSeries(terms, N)
+        series[3][3, 3] -= 1
+        series[3][2, 4] += 1
+        return series
 
     monkeypatch.setattr(engine, "hilb_series", moved)
     code, out, err = run_cli("verify", "--preset", "k3", "-N", "5")
@@ -449,7 +448,7 @@ _KERNEL_FAULTS = {
     ),
     "TriSeries.__mul__": (
         TriSeries, "__mul__", _mul_fault,
-        lambda ds: (engine.hilb_series(ds.table, 2),) * 2,
+        lambda ds: (TriSeries({(0, 0, 0): 1, (1, 1, 1): 1}, 2),) * 2,
         dict.fromkeys(("k3", "torus", "hopf"), {
             "product-vs-partition", "chi-y-three-way", "frolicher", "hochschild-two-path",
             "nested-two-path", "euler-witness",
@@ -527,7 +526,7 @@ def _with_layer(polys: list[HodgePolynomial], n: int, layer: dict) -> list[Hodge
 def test_witness_is_both_routes_at_every_point_and_sees_one_changed_entry(case, data):
     N, table = case
     witness, powers = verify._witness(table, N), verify._point_powers(N)
-    series = engine.hilb_series(table, N).layers()
+    series = engine.hilb_series(table, N)
     for layers in (series, engine.hilb_strata(table, N)):
         for (xs, ys), values in zip(powers, witness):
             assert values == [
@@ -606,16 +605,16 @@ def test_verify_fails_each_check_that_reads_a_failed_series(monkeypatch, fork):
     assert out.splitlines() == [line.format("boom") for line in _FAILED_SERIES_LINES]
 
 
-def _with_entry(key, value):
-    return lambda series: TriSeries({**dict(series.sorted_terms()), key: value}, series.trunc_t)
+def _with_entry(n, key, value):
+    return lambda series: [*series[:n], {**series[n], key: value}, *series[n + 1:]]
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         # no table of dimensions: a FAIL, not an input error (exit 1)
-        (_with_entry((0, 4, 2), -4), "negative dimension -4 at (p, q)=(0, 4)"),
-        (_with_entry((5, 0, 2), 1), "(p, q)=(5, 0) outside [0, 4]^2"),
+        (_with_entry(2, (0, 4), -4), "negative dimension -4 at (p, q)=(0, 4)"),
+        (_with_entry(2, (5, 0), 1), "(p, q)=(5, 0) outside [0, 4]^2"),
     ],
     ids=["negative", "outside"],
 )

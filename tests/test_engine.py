@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 from conftest import (
+    convolve,
     euler_power,
     fresh_interpreter,
     naive_mul,
@@ -145,7 +146,7 @@ def test_super_product_matches_naive_product_of_long_factors(generators, N):
         factor = euler_power((sign, ex, ey), k, sign * h, N, naive_mul)
         want = naive_mul(want, factor)
     got = _super_product(lambda k: [g[1:] for g in generators if g[0] == k], N)
-    assert got == want
+    assert got == want.layers()
 
 
 # (k, e, odd, h): a one-variable generator of level k <= 8, odd and even, h = -3..3
@@ -162,8 +163,8 @@ def test_exp_product_matches_super_product_on_one_axis(generators, N, c):
     def level(k, shift=0):
         return [(e - shift * k, odd, h) for j, e, odd, h in generators if j == k]
 
-    series = _super_product(lambda k: [(0, e, odd, h) for e, odd, h in level(k)], N)
-    want = [{ey: v for (_, ey), v in layer.items()} for layer in series.layers()]
+    layers = _super_product(lambda k: [(0, e, odd, h) for e, odd, h in level(k)], N)
+    want = [{ey: v for (_, ey), v in layer.items()} for layer in layers]
     assert _exp_product(level, N) == want
     # moving every level-k generator by -c k moves layer n by -c n, below 0 too
     assert _exp_product(lambda k: level(k, c), N) == [
@@ -190,18 +191,40 @@ def test_euler_side_calls_no_strata_helper():
 # -- the main series --------------------------------------------------------
 
 
+_SERIES_FUNCTIONS = {
+    "hilb_series": hilb_series,
+    "nested_series": lambda table, N: nested_series(table, random_table(Random(28), N), N),
+    "hilb_strata": hilb_strata,
+    "chi_y_product": chi_y_product,
+    "chi_y_exp": chi_y_exp,
+    "chi_y_from_hodge": chi_y_from_hodge,
+    "betti_series": lambda table, N: betti_series(table.diamond(0).row_sums(), N),
+    "hh_rhs_series": hh_rhs_series,
+}
+
+
+@pytest.mark.parametrize("name", _SERIES_FUNCTIONS)
+def test_every_series_function_returns_plain_t_layers(name):
+    # one format for every series: a list of N + 1 dicts, int values, no stored zero
+    N = 5
+    layers = _SERIES_FUNCTIONS[name](random_table(Random(27), N), N)
+    assert type(layers) is list and len(layers) == N + 1
+    for layer in layers:
+        assert type(layer) is dict
+        assert all(type(v) is int and v != 0 for v in layer.values())
+
+
 def test_hilb_series_order_zero_is_one():
     rng = Random(7)
     table = random_table(rng, 3)
-    assert hilb_series(table, 3).layers()[0] == {(0, 0): 1}
+    assert hilb_series(table, 3)[0] == {(0, 0): 1}
 
 
 def test_hilb_series_linear_term_is_the_diamond():
     rng = Random(8)
     for _ in range(5):
         table = random_table(rng, 3)
-        poly = hilb_series(table, 3).layers()[1]
-        assert dict(poly.items()) == table.diamond(1).bigraded()
+        assert hilb_series(table, 3)[1] == table.diamond(1).bigraded()
 
 
 def test_hilb_hopf_square_is_the_printed_polynomial():
@@ -212,21 +235,22 @@ def test_hilb_hopf_square_is_the_printed_polynomial():
 def test_hilb_degree_bounds():
     rng = Random(9)
     table = random_table(rng, 4)
-    for (ex, ey, et), _ in hilb_series(table, 4).sorted_terms():
-        assert ex <= 2 * et and ey <= 2 * et
+    for n, layer in enumerate(hilb_series(table, 4)):
+        for ex, ey in layer:
+            assert ex <= 2 * n and ey <= 2 * n
 
 
 def test_hilb_coefficients_are_nonnegative_integers():
     rng = Random(10)
     table = random_table(rng, 4)
-    for _, value in hilb_series(table, 4).sorted_terms():
-        assert isinstance(value, int) and value > 0
+    for layer in hilb_series(table, 4):
+        for value in layer.values():
+            assert isinstance(value, int) and value > 0
 
 
-def swap_xy(series):
-    """The series with x and y exchanged."""
-    terms = {(ey, ex, et): c for (ex, ey, et), c in series.sorted_terms()}
-    return TriSeries(terms, series.trunc_t)
+def swap_xy(layers):
+    """The t-layers with x and y exchanged."""
+    return [{(ey, ex): c for (ex, ey), c in layer.items()} for layer in layers]
 
 
 def test_hilb_xy_symmetry_for_symmetric_tables():
@@ -247,7 +271,7 @@ def test_hilb_constant_table_equals_untwisted_product():
             sign = -1 if (p + q) % 2 else 1
             m = (sign, p + k - 1, q + k - 1)
             direct = direct * euler_power(m, k, sign * h, trunc)
-    assert direct == hilb_series(preset("k3", max_power=trunc).table, trunc)
+    assert direct.layers() == hilb_series(preset("k3", max_power=trunc).table, trunc)
 
 
 def test_hilb_insufficient_powers_names_missing_k():
@@ -277,7 +301,7 @@ def test_partitions_route_matches_product_route():
         table = random_table(rng, 5)
         series = hilb_series(table, 5)
         for n in range(6):
-            got = HodgePolynomial(series.layers()[n], 2 * n)
+            got = HodgePolynomial(series[n], 2 * n)
             assert got == hilb_via_partitions(table, n)
 
 
@@ -330,7 +354,7 @@ def _strata_per_partition(table, n):
 def test_one_pass_strata_match_product_route_and_per_partition_fold(case):
     N, table = case
     layers = hilb_strata(table, N)
-    assert layers == hilb_series(table, N).layers()
+    assert layers == hilb_series(table, N)
     assert layers == [dict(_strata_per_partition(table, n).items()) for n in range(N + 1)]
 
 
@@ -354,7 +378,7 @@ def test_serre_symmetry_on_untwisted_presets(name):
     N = 6
     series = hilb_series(preset(name, max_power=N).table, N)
     for n in range(N + 1):
-        terms = dict(series.layers()[n].items())
+        terms = series[n]
         assert {(2 * n - p, 2 * n - q): v for (p, q), v in terms.items()} == terms, n
 
 
@@ -375,8 +399,8 @@ def test_twisted_serre_duality_reflects_the_hilb_layers(case):
     # layer n of the dual table is layer n reflected by (p, q) -> (2n - p, 2n - q)
     N, table = case
     dual = _serre_dual(table)
-    series = hilb_series(table, N).layers()
-    assert hilb_series(dual, N).layers() == [
+    series = hilb_series(table, N)
+    assert hilb_series(dual, N) == [
         _reflected(layer, 2 * n) for n, layer in enumerate(series)
     ]
     assert hilb_strata(dual, N) == [
@@ -394,8 +418,8 @@ def test_twisted_serre_duality_reflects_the_nested_layers(case):
     # both tables dual: layer n is reflected by (p, q) -> (2n + 2 - p, 2n + 2 - q)
     N, table_l, table_llp = case
     dual_l, dual_llp = _serre_dual(table_l), _serre_dual(table_llp)
-    series = nested_series(table_l, table_llp, N).layers()
-    assert nested_series(dual_l, dual_llp, N).layers() == [
+    series = nested_series(table_l, table_llp, N)
+    assert nested_series(dual_l, dual_llp, N) == [
         _reflected(layer, 2 * n + 2) for n, layer in enumerate(series)
     ]
     for n in range(N + 1):
@@ -417,19 +441,6 @@ def _direct_sum(table_1, table_2):
     ])
 
 
-def _convolve(a, b):
-    """The t-layers of a product of two series given as lists of (p, q) -> value maps."""
-    out = []
-    for n in range(len(a)):
-        layer = {}
-        for m in range(n + 1):
-            for (p1, q1), u in a[m].items():
-                for (p2, q2), v in b[n - m].items():
-                    layer[p1 + p2, q1 + q2] = layer.get((p1 + p2, q1 + q2), 0) + u * v
-        out.append(layer)
-    return out
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(0, 5).flatmap(
@@ -442,10 +453,8 @@ def test_disjoint_union_convolves_the_layers(case):
     # Hilb(S_1 + S_2) = sum_{a+b=n} Hilb^a S_1 x Hilb^b S_2, on both routes
     N, table_1, table_2 = case
     union = _direct_sum(table_1, table_2)
-    assert hilb_strata(union, N) == _convolve(hilb_strata(table_1, N), hilb_strata(table_2, N))
-    assert hilb_series(union, N).layers() == _convolve(
-        hilb_series(table_1, N).layers(), hilb_series(table_2, N).layers()
-    )
+    assert hilb_strata(union, N) == convolve(hilb_strata(table_1, N), hilb_strata(table_2, N))
+    assert hilb_series(union, N) == convolve(hilb_series(table_1, N), hilb_series(table_2, N))
 
 
 @settings(max_examples=20, deadline=None)
@@ -470,8 +479,7 @@ def test_nested_order_zero_is_residual_diamond():
     rng = Random(14)
     table_l = random_table(rng, 3)
     table_lp = random_table(rng, 3)
-    poly = nested_series(table_l, table_lp, 3).layers()[0]
-    assert dict(poly.items()) == table_lp.diamond(0).bigraded()
+    assert nested_series(table_l, table_lp, 3)[0] == table_lp.diamond(0).bigraded()
 
 
 def test_nested_trivial_bundles_factorize():
@@ -482,7 +490,7 @@ def test_nested_trivial_bundles_factorize():
             {(p, q, 0): v for (p, q), v in ds.table.diamond(0).bigraded().items()}, 5
         )
         point_chain = euler_power((1, 1, 1), 1, 1, 5)
-        assert series == hilb_series(ds.table, 5) * surface * point_chain
+        assert series == convolve(hilb_series(ds.table, 5), (surface * point_chain).layers())
 
 
 def test_nested_strata_order_zero():
@@ -501,7 +509,7 @@ def test_nested_strata_matches_series():
         table_lp = random_table(rng, 4)
         series = nested_series(table_l, table_lp, 4)
         for n in range(5):
-            got = HodgePolynomial(series.layers()[n], 2 * n + 2)
+            got = HodgePolynomial(series[n], 2 * n + 2)
             assert got == nested_via_strata(table_l, table_lp, n)
 
 
@@ -603,8 +611,8 @@ def test_strata_slot_width_follows_coefficient_size():
     rng = Random(18)
     table = _huge_table(rng, 5)
     series = hilb_series(table, 5)
-    assert max(v for _, v in series.sorted_terms()).bit_length() > 64
-    assert hilb_strata(table, 5) == series.layers()
+    assert max(v for layer in series for v in layer.values()).bit_length() > 64
+    assert hilb_strata(table, 5) == series
     table_lp = _huge_table(rng, 3)
     for n in range(4):
         assert nested_via_strata(table, table_lp, n) == nested_coefficient(
@@ -620,8 +628,9 @@ def test_nested_degree_bounds():
     rng = Random(17)
     table_l = random_table(rng, 4)
     table_lp = random_table(rng, 4)
-    for (ex, ey, et), _ in nested_series(table_l, table_lp, 4).sorted_terms():
-        assert ex <= 2 * et + 2 and ey <= 2 * et + 2
+    for n, layer in enumerate(nested_series(table_l, table_lp, 4)):
+        for ex, ey in layer:
+            assert ex <= 2 * n + 2 and ey <= 2 * n + 2
 
 
 # -- chi_y routes -----------------------------------------------------------------
@@ -671,11 +680,12 @@ def test_chi_y_exp_zero_table():
     assert chi_y_exp(zero, 4) == [{0: 1}] + [{}] * 4
 
 
-def _summed(series, key, sign):
-    """Sum every term c x^ex y^ey t^et into power key(ex, ey) of t-layer et, times sign(ex, ey)."""
-    acc = [{} for _ in range(series.trunc_t + 1)]
-    for (ex, ey, et), c in series.sorted_terms():
-        acc[et][key(ex, ey)] = acc[et].get(key(ex, ey), 0) + sign(ex, ey) * c
+def _summed(layers, key, sign):
+    """Sum every term c x^ex y^ey of a t-layer into its power key(ex, ey), times sign(ex, ey)."""
+    acc = [{} for _ in layers]
+    for summed, layer in zip(acc, layers):
+        for (ex, ey), c in layer.items():
+            summed[key(ex, ey)] = summed.get(key(ex, ey), 0) + sign(ex, ey) * c
     return [{e: c for e, c in layer.items() if c} for layer in acc]
 
 
@@ -695,7 +705,7 @@ def test_per_layer_collapses_match_the_whole_series(case):
     N, table = case
     series = hilb_series(table, N)
     chi_y = _summed(series, lambda ex, ey: ex, lambda ex, ey: (-1) ** (ex + ey))
-    assert chi_y_from_hodge_series(series.layers()) == chi_y
+    assert chi_y_from_hodge_series(series) == chi_y
     betti = _summed(series, lambda ex, ey: ex + ey, lambda ex, ey: 1)
     assert _betti_layers(series) == betti
 
@@ -716,7 +726,7 @@ def _betti_layers(series):
     """Per-layer collapse along p + q of a Hodge series, zeros dropped."""
     totals = [
         HodgePolynomial(layer, 2 * n).collapse_total_degree()
-        for n, layer in enumerate(series.layers())
+        for n, layer in enumerate(series)
     ]
     return [{i: b for i, b in enumerate(total) if b} for total in totals]
 

@@ -43,7 +43,7 @@ def test_constructor_rejects_floats():
 
 
 def test_constructor_rejects_bools():
-    # True is an int subclass; kept, it would print as "True" in str()
+    # True is an int subclass; kept, it would print as "True" in a rendered table
     with pytest.raises(TypeError, match="got bool"):
         TriSeries({(0, 0, 0): True}, 2)
 
@@ -85,17 +85,17 @@ def test_mul_expands_binomials():
 
 
 def factor(ex, ey, k, odd, h, trunc=4):
-    """(1 - s x^ex y^ey t^k)^(-s h), s = -1 odd and +1 even, from the Euler builder."""
+    """(1 - s x^ex y^ey t^k)^(-s h), s = -1 odd and +1 even, as t-layers of the Euler builder."""
     return _super_product(lambda level: [(ex, ey, odd, h)] if level == k else [], trunc)
 
 
 def test_invert_geometric_series():
-    assert factor(0, 0, 1, 0, 1) == geometric(4)
+    assert factor(0, 0, 1, 0, 1) == geometric(4).layers()
 
 
 def test_invert_xy_geometric():
     s = factor(1, 1, 1, 0, 1)
-    assert s == TriSeries({(n, n, n): 1 for n in range(5)}, 4)
+    assert s == TriSeries({(n, n, n): 1 for n in range(5)}, 4).layers()
 
 
 def test_invert_is_two_sided_up_to_truncation():
@@ -103,34 +103,34 @@ def test_invert_is_two_sided_up_to_truncation():
     for k in (1, 2):
         for h in (1, 2, -3):
             pair = [(1, 2, 0, h), (1, 2, 0, -h)]
-            assert _super_product(lambda level: pair if level == k else [], 4) == ONE
+            assert _super_product(lambda level: pair if level == k else [], 4) == ONE.layers()
 
 
 def test_pow_square():
     assert factor(0, 0, 1, 1, 2) == TriSeries(
         {(0, 0, 0): 1, (0, 0, 1): 2, (0, 0, 2): 1}, 4
-    )
+    ).layers()
 
 
 def test_pow_zero():
-    assert factor(1, 1, 1, 0, 0) == ONE
-    assert factor(1, 1, 1, 1, 0) == ONE
+    assert factor(1, 1, 1, 0, 0) == ONE.layers()
+    assert factor(1, 1, 1, 1, 0) == ONE.layers()
 
 
 def test_pow_negative_two():
     got = factor(0, 0, 1, 0, 2)
     want = TriSeries({(0, 0, n): n + 1 for n in range(5)}, 4)
-    assert got == want
+    assert got == want.layers()
 
 
 def test_pow_negative_equals_invert_of_pow():
     # an odd generator with h = -3 is 1/(1 + x t)^3
     pair = [(1, 0, 1, -3), (1, 0, 1, 3)]
-    assert _super_product(lambda level: pair if level == 1 else [], 4) == ONE
+    assert _super_product(lambda level: pair if level == 1 else [], 4) == ONE.layers()
     want = TriSeries(
         {(n, 0, n): (-1) ** n * (n + 1) * (n + 2) // 2 for n in range(5)}, 4
     )
-    assert factor(1, 0, 1, 1, -3) == want
+    assert factor(1, 0, 1, 1, -3) == want.layers()
 
 
 # -- the exp route's recurrence ------------------------------------------------
@@ -198,20 +198,20 @@ def _count_partitions(n: int, max_part: int | None = None) -> int:
 
 
 def test_super_product_counts_partitions():
-    layers = _super_product(lambda k: [(0, 0, 0, 1)], 5).layers()
+    layers = _super_product(lambda k: [(0, 0, 0, 1)], 5)
     assert layers[5] == {(0, 0): _count_partitions(5)} and _count_partitions(5) == 7
     for n in range(6):
         assert layers[n] == {(0, 0): _count_partitions(n)}
 
 
 def test_super_product_of_ones():
-    assert _super_product(lambda k: [(k, k, k % 2, 0)], 3) == TriSeries.one(3)
+    assert _super_product(lambda k: [(k, k, k % 2, 0)], 3) == TriSeries.one(3).layers()
 
 
 def test_super_product_truncation_one():
     # prod_k (1 - t^k): only k = 1 reaches t^1
-    series = _super_product(lambda k: [(0, 0, 0, -1)], 1)
-    assert series == TriSeries({(0, 0, 0): 1, (0, 0, 1): -1}, 1)
+    layers = _super_product(lambda k: [(0, 0, 0, -1)], 1)
+    assert layers == [{(0, 0): 1}, {(0, 0): -1}]
 
 
 # -- property tests ---------------------------------------------------------------------
