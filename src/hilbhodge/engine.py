@@ -19,12 +19,13 @@ multiplied in its private ring, :class:`~hilbhodge.series.TriSeries`) and
 :func:`_exp_layers` (the exp recurrence that :func:`_exp_product` feeds).
 Every series function returns a list of t-layers, ``{(p, q): coeff}`` dicts
 or one-variable ``{power: coeff}`` ones, and one space comes as a
-:class:`HodgePolynomial`.  The two sides of a ``verify`` identity
-never run through the same kernel unless a third check covers that kernel.
-Which checks fail when a single kernel is wrong (the two Euler kernels,
-``TriSeries.__mul__``, the strata kernels, ``verify``'s own Euler witness)
-is pinned in ``tests/test_cli.py::_KERNEL_FAULTS``; that table is the route
-map.  The Euler side imports nothing from :mod:`hilbhodge.strata` (a test
+:class:`HodgePolynomial`; on either route each of them raises ``ValueError``
+on a negative order (:func:`_require_powers`).  The two sides of a ``verify``
+identity never run through the same kernel unless a third check covers that
+kernel.  Which checks fail when a single kernel is wrong (the two Euler
+kernels, ``TriSeries.__mul__``, the strata kernels, ``verify``'s own Euler
+witness) is pinned in ``tests/test_cli.py::_KERNEL_FAULTS``; that table is the
+route map.  The Euler side imports nothing from :mod:`hilbhodge.strata` (a test
 checks that the four Euler builders leave it unloaded), so
 product-vs-partition compares two kernels that share no code.
 """
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 
-from .series import TriSeries, _exact
+from .series import TriSeries
 from .surfaces import SurfaceDataset, TwistedTable
 
 GradedDims = dict[int, int]
@@ -96,6 +97,8 @@ class IntegralityFailure(EngineError):
 
 
 def _require_powers(table: TwistedTable, needed: int, operation: str) -> None:
+    if needed < 0:
+        raise ValueError(f"{operation} needs a nonnegative order, got {needed}")
     if table.max_power < needed:
         raise InsufficientPowers(
             f"{operation} needs h^(p,q)(S, L^k) for every k <= {needed}, but the "
@@ -114,26 +117,10 @@ def _nested_table(ds: SurfaceDataset, needed: int, who: str, error: type) -> Twi
     return llp
 
 
-def _format_terms(terms: Iterable[tuple[int, list[tuple[str, int]]]]) -> str:
-    """Render (coefficient, [(symbol, exponent), ...]) pairs as a polynomial."""
-    pieces: list[str] = []
-    for coeff, powers in terms:
-        factors = []
-        for symbol, exponent in powers:
-            if exponent == 1:
-                factors.append(symbol)
-            elif exponent:
-                factors.append(f"{symbol}^{exponent}")
-        negative = coeff < 0
-        magnitude = -coeff if negative else coeff
-        if magnitude != 1 or not factors:
-            factors.insert(0, str(magnitude))
-        text = "*".join(factors)
-        if not pieces:
-            pieces.append(f"-{text}" if negative else text)
-        else:
-            pieces.append(f"- {text}" if negative else f"+ {text}")
-    return " ".join(pieces) if pieces else "0"
+def _exact(value: int) -> None:
+    """Reject a coefficient that is not an int; a bool is not one here."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"coefficients must be int, got {type(value).__name__}")
 
 
 class HodgePolynomial:
@@ -204,9 +191,13 @@ class HodgePolynomial:
         return f"HodgePolynomial({len(self._terms)} terms, space_dim={self.space_dim})"
 
     def __str__(self) -> str:
-        return _format_terms(
-            (coeff, [("x", p), ("y", q)]) for (p, q), coeff in self.sorted_terms()
-        )
+        pieces = []
+        for (p, q), coeff in self.sorted_terms():
+            factors = [f"{s}^{e}" if e > 1 else s for s, e in (("x", p), ("y", q)) if e]
+            if coeff != 1 or not factors:
+                factors.insert(0, str(coeff))
+            pieces.append("*".join(factors))
+        return " + ".join(pieces) or "0"
 
 
 # -- the super-symmetric Euler product ---------------------------------------
@@ -416,6 +407,8 @@ def betti_series(betti: Iterable[int], trunc_t: int) -> list[GradedDims]:
     b = tuple(betti)
     if len(b) != 5 or any(v < 0 for v in b):
         raise ValueError("betti numbers must be five nonnegative ints")
+    if trunc_t < 0:
+        raise ValueError(f"betti_series needs a nonnegative order, got {trunc_t}")
     layers = _super_product(
         lambda k: ((i + 2 * k - 2, 0, i % 2, bi) for i, bi in enumerate(b)), trunc_t
     )

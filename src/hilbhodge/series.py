@@ -2,30 +2,21 @@
 
 A :class:`TriSeries` is an element of the truncated ring
 ``Z[x, y][[t]] / (t^(N+1))``: a sparse map from exponent triples
-``(e_x, e_y, e_t)`` to integer coefficients, cut off t-adically at a
-fixed order ``trunc_t = N``.  It is the private ring of
+``(e_x, e_y, e_t)`` to int coefficients, cut off t-adically at a fixed
+order ``trunc_t = N``.  It is the private ring of
 :func:`~hilbhodge.engine._super_product`, where the super-symmetric Euler
 products multiply out; that function alone takes the result apart with
 :meth:`TriSeries.layers`, one plain ``{(e_x, e_y): coeff}`` dict per power
 of t, and returns those t-layers, the one form in which the package passes
-series around.  Every number the package computes is a dimension, so
-coefficients are Python ints and nothing else: a float, a bool or a
-:class:`fractions.Fraction` raises ``TypeError``.
+series around.  The constructor stores the map it is given and checks
+nothing: ``_super_product`` hands it int coefficients that stop at the first
+zero, nonnegative exponents and ``e_t <= trunc_t``, the invariants that
+``*`` keeps.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
-Monomial = tuple[int, int, int]
-
-__all__ = ["Monomial", "TriSeries"]
-
-
-def _exact(value: int) -> None:
-    """Reject a coefficient that is not an int; a bool is not one here."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"coefficients must be int, got {type(value).__name__}")
+__all__ = ["TriSeries"]
 
 
 class TriSeries:
@@ -37,51 +28,16 @@ class TriSeries:
 
     __slots__ = ("_terms", "trunc_t")
 
-    def __init__(self, terms: Mapping[Monomial, int], trunc_t: int):
-        if trunc_t < 0:
-            raise ValueError("truncation order must be nonnegative")
-        clean: dict[Monomial, int] = {}
-        for (ex, ey, et), value in terms.items():
-            if ex < 0 or ey < 0 or et < 0:
-                raise ValueError(f"negative exponent in {(ex, ey, et)}")
-            if et > trunc_t:
-                continue
-            _exact(value)
-            if value:
-                clean[(ex, ey, et)] = value
-        self._terms = clean
-        self.trunc_t = trunc_t
-
-    @classmethod
-    def _make(cls, terms: dict[Monomial, int], trunc_t: int) -> "TriSeries":
-        """Internal constructor; ``terms`` must already satisfy the invariants."""
-        if trunc_t < 0:
-            raise ValueError("truncation order must be nonnegative")
-        self = object.__new__(cls)
+    def __init__(self, terms: dict[tuple[int, int, int], int], trunc_t: int):
         self._terms = terms
         self.trunc_t = trunc_t
-        return self
 
     @classmethod
     def one(cls, trunc_t: int) -> "TriSeries":
-        return cls._make({(0, 0, 0): 1}, trunc_t)
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in the canonical order (e_t, e_x, e_y), ascending."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
+        return cls({(0, 0, 0): 1}, trunc_t)
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TriSeries):
-            return NotImplemented
-        return self.trunc_t == other.trunc_t and self._terms == other._terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"TriSeries({len(self._terms)} terms, trunc_t={self.trunc_t})"
 
     # -- ring operations -------------------------------------------------
 
@@ -98,7 +54,7 @@ class TriSeries:
             ((k, v) for k, v in b.items() if k[2] <= trunc),
             key=lambda kv: kv[0][2],
         )
-        acc: dict[Monomial, int] = {}
+        acc: dict[tuple[int, int, int], int] = {}
         get = acc.get
         for (ax, ay, at), av in a.items():
             if at > trunc:
@@ -117,7 +73,7 @@ class TriSeries:
                         acc[key] = cur
                     else:
                         del acc[key]
-        return TriSeries._make(acc, trunc)
+        return TriSeries(acc, trunc)
 
     # -- extraction --------------------------------------------------------
 

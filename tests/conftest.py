@@ -1,11 +1,13 @@
-"""Shared helpers: random tables, series addition, t-layer convolution, the
-brute-force oracles (an Euler factor, a super symmetric power, a product), a
-partition enumerator, a capture-safe CLI runner, a fresh-interpreter probe."""
+"""Shared helpers: random tables, t-layer convolution, the brute-force oracles
+(a product, an Euler factor and a sum of term dicts; a super symmetric power),
+a partition enumerator, a capture-safe CLI runner, a fresh-interpreter probe.
+
+The reference series ring here shares no code with the package's: a series is
+a plain ``{(e_x, e_y, e_t): c}`` dict without zero values, read to ``t^trunc``."""
 
 from __future__ import annotations
 
 import io
-import operator
 import os
 import subprocess
 import sys
@@ -17,7 +19,6 @@ from random import Random
 
 import hilbhodge
 from hilbhodge.cli import main as cli_main
-from hilbhodge.series import TriSeries
 from hilbhodge.surfaces import SurfaceDiamond, TwistedTable
 
 
@@ -45,14 +46,6 @@ def random_symmetric_table(rng: Random, max_power: int, hi: int = 3) -> TwistedT
     )
 
 
-def plus(a: TriSeries, b: TriSeries) -> TriSeries:
-    """a + b at the lower truncation order; the ring itself only multiplies."""
-    terms = dict(a.sorted_terms())
-    for key, value in b.sorted_terms():
-        terms[key] = terms.get(key, 0) + value
-    return TriSeries(terms, min(a.trunc_t, b.trunc_t))
-
-
 def convolve(a, b):
     """The t-layers of a product of two series given as lists of (p, q) -> value maps."""
     out = []
@@ -66,28 +59,26 @@ def convolve(a, b):
     return out
 
 
-def euler_power(m, k, e, trunc, mul=operator.mul):
-    """(1 - c x^ex y^ey t^k)^(-e) to t^trunc, for m = (c, ex, ey) and c = +-1.
+def euler_power(m, k, e, trunc):
+    """(1 - c x^ex y^ey t^k)^(-e) to t^trunc as a term dict, for m = (c, ex, ey), c = +-1.
 
     The long way, independent of the engine's binomial factors:
     1/(1 - m t^k) is written out as its geometric series sum_j (m t^k)^j,
     and the |e|-th power of it (e > 0) or of 1 - m t^k (e < 0) is taken by
-    repeated squaring and multiplication with ``mul``.
+    repeated squaring with :func:`naive_mul`.
     """
     c, ex, ey = m
     if e >= 0:
-        base = TriSeries(
-            {(j * ex, j * ey, j * k): c**j for j in range(trunc // k + 1)}, trunc
-        )
+        base = {(j * ex, j * ey, j * k): c**j for j in range(trunc // k + 1)}
     else:
-        base = TriSeries({(0, 0, 0): 1, (ex, ey, k): -c}, trunc)
-    result, e = TriSeries.one(trunc), abs(e)
+        base = {(0, 0, 0): 1, (ex, ey, k): -c}
+    result, e = {(0, 0, 0): 1}, abs(e)
     while e:
         if e & 1:
-            result = mul(result, base)
+            result = naive_mul(result, base, trunc)
         e >>= 1
         if e:
-            base = mul(base, base)
+            base = naive_mul(base, base, trunc)
     return result
 
 
@@ -139,17 +130,36 @@ def super_sym_multiset(
     return counts
 
 
-def naive_mul(a: TriSeries, b: TriSeries) -> TriSeries:
-    """Schoolbook convolution product; the reference for TriSeries.__mul__."""
-    trunc = min(a.trunc_t, b.trunc_t)
+def naive_mul(a, b, trunc):
+    """Schoolbook product of two term dicts to t^trunc; the reference for every product."""
     terms: dict[tuple[int, int, int], int] = {}
-    for (ax, ay, at), av in a.sorted_terms():
-        for (bx, by, bt), bv in b.sorted_terms():
-            if at + bt > trunc:
-                continue
-            key = (ax + bx, ay + by, at + bt)
-            terms[key] = terms.get(key, 0) + av * bv
-    return TriSeries(terms, trunc)
+    for (ax, ay, at), av in a.items():
+        for (bx, by, bt), bv in b.items():
+            if at + bt <= trunc:
+                key = (ax + bx, ay + by, at + bt)
+                terms[key] = terms.get(key, 0) + av * bv
+    return {key: v for key, v in terms.items() if v}
+
+
+def plus(a, b):
+    """The sum of two term dicts; the package's ring only multiplies."""
+    terms = dict(a)
+    for key, value in b.items():
+        terms[key] = terms.get(key, 0) + value
+    return {key: v for key, v in terms.items() if v}
+
+
+def layers_of(terms, trunc):
+    """The t-layers ``{(e_x, e_y): c}`` of a term dict, n = 0..trunc."""
+    out = [{} for _ in range(trunc + 1)]
+    for (ex, ey, et), value in terms.items():
+        out[et][ex, ey] = value
+    return out
+
+
+def terms_of(layers):
+    """The term dict of a list of t-layers; the inverse of :func:`layers_of`."""
+    return {(ex, ey, n): c for n, layer in enumerate(layers) for (ex, ey), c in layer.items()}
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:

@@ -8,7 +8,15 @@ tolerances are the per-criterion wall-clock budgets.
 import time
 from random import Random
 
-from conftest import convolve, euler_power, naive_mul, random_table, run_cli, super_sym_multiset
+from conftest import (
+    convolve,
+    euler_power,
+    layers_of,
+    naive_mul,
+    random_table,
+    run_cli,
+    super_sym_multiset,
+)
 
 from hilbhodge.engine import (
     HodgePolynomial,
@@ -80,19 +88,19 @@ def test_criterion_02_hopf_closed_form_product():
     started = time.monotonic()
     N = 10
 
-    def closed_factor(k: int) -> TriSeries:
-        numerator = TriSeries({(0, 0, 0): 1, (k - 1, k, k): 1}, N) * TriSeries(
-            {(0, 0, 0): 1, (k + 1, k, k): 1}, N
+    def closed_factor(k: int) -> dict:
+        numerator = naive_mul(
+            {(0, 0, 0): 1, (k - 1, k, k): 1}, {(0, 0, 0): 1, (k + 1, k, k): 1}, N
         )
-        inverse_denominator = euler_power((1, k - 1, k - 1), k, 1, N) * euler_power(
-            (1, k + 1, k + 1), k, 1, N
+        inverse_denominator = naive_mul(
+            euler_power((1, k - 1, k - 1), k, 1, N), euler_power((1, k + 1, k + 1), k, 1, N), N
         )
-        return numerator * inverse_denominator
+        return naive_mul(numerator, inverse_denominator, N)
 
-    closed = TriSeries.one(N)
+    closed = {(0, 0, 0): 1}
     for k in range(N, 0, -1):
-        closed = closed * closed_factor(k)
-    assert closed.layers() == hilb_series(preset("hopf", max_power=N).table, N)
+        closed = naive_mul(closed, closed_factor(k), N)
+    assert layers_of(closed, N) == hilb_series(preset("hopf", max_power=N).table, N)
     _finish(2, started, 5.0, f"direct closed-form product equals hilb_series to t^{N}")
 
 
@@ -138,11 +146,9 @@ def test_criterion_06_nested_consistency():
     for name in PRESET_NAMES:
         ds = preset(name, max_power=8)
         series = nested_series(ds.table, ds.nested_or_main(), 8)
-        surface = TriSeries(
-            {(p, q, 0): v for (p, q), v in ds.table.diamond(0).bigraded().items()}, 8
-        )
-        chain = euler_power((1, 1, 1), 1, 1, 8)
-        assert series == convolve(hilb_series(ds.table, 8), (surface * chain).layers()), name
+        surface = {(p, q, 0): v for (p, q), v in ds.table.diamond(0).bigraded().items()}
+        residual = layers_of(naive_mul(surface, euler_power((1, 1, 1), 1, 1, 8), 8), 8)
+        assert series == convolve(hilb_series(ds.table, 8), residual), name
         for n, layer in enumerate(series):
             got = nested_via_strata(ds.table, ds.nested_or_main(), n)
             assert got == HodgePolynomial(layer, 2 * n + 2), (name, n)
@@ -207,16 +213,17 @@ def test_criterion_09_oracle_suites():
         binomial_route = sym_power_twisted_hodge(diamond, n)
         assert dict(binomial_route.items()) == super_sym_multiset(dims, n), trial
 
-    def random_series() -> TriSeries:
+    def random_terms() -> dict:
         terms = {
             (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)): rng.randint(-3, 3)
             for _ in range(rng.randint(0, 6))
         }
-        return TriSeries(terms, 3)
+        return {key: v for key, v in terms.items() if v}
 
     for trial in range(500):
-        a, b = random_series(), random_series()
-        assert naive_mul(a, b) == a * b, trial
+        a, b = random_terms(), random_terms()
+        got = TriSeries(a, 3) * TriSeries(b, 3)
+        assert got.layers() == layers_of(naive_mul(a, b, 3), 3), trial
     _finish(9, started, 10.0, "200 symmetric-power inputs and 500 products match the oracles")
 
 

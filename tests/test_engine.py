@@ -8,6 +8,7 @@ from conftest import (
     convolve,
     euler_power,
     fresh_interpreter,
+    layers_of,
     naive_mul,
     nested_index_set,
     partitions,
@@ -140,13 +141,12 @@ super_generators = st.lists(
 # no caller hands the builder an odd generator with h < 0; this test does
 @example([(1, 1, 0, 1, -2), (2, 0, 1, 1, -3), (1, 2, 2, 0, 3)], 6)
 def test_super_product_matches_naive_product_of_long_factors(generators, N):
-    want = TriSeries.one(N)
+    want = {(0, 0, 0): 1}
     for k, ex, ey, odd, h in generators:
         sign = -1 if odd else 1
-        factor = euler_power((sign, ex, ey), k, sign * h, N, naive_mul)
-        want = naive_mul(want, factor)
+        want = naive_mul(want, euler_power((sign, ex, ey), k, sign * h, N), N)
     got = _super_product(lambda k: [g[1:] for g in generators if g[0] == k], N)
-    assert got == want.layers()
+    assert got == layers_of(want, N)
 
 
 # (k, e, odd, h): a one-variable generator of level k <= 8, odd and even, h = -3..3
@@ -265,19 +265,35 @@ def test_hilb_constant_table_equals_untwisted_product():
     # the trivial-bundle series written out directly from the one diamond
     d = preset("k3").table.diamond(0)
     trunc = 5
-    direct = TriSeries.one(trunc)
+    direct = {(0, 0, 0): 1}
     for k in range(1, trunc + 1):
         for (p, q), h in d.bigraded().items():
             sign = -1 if (p + q) % 2 else 1
             m = (sign, p + k - 1, q + k - 1)
-            direct = direct * euler_power(m, k, sign * h, trunc)
-    assert direct.layers() == hilb_series(preset("k3", max_power=trunc).table, trunc)
+            direct = naive_mul(direct, euler_power(m, k, sign * h, trunc), trunc)
+    assert layers_of(direct, trunc) == hilb_series(preset("k3", max_power=trunc).table, trunc)
 
 
 def test_hilb_insufficient_powers_names_missing_k():
     ds = preset("hopf", max_power=2)
     with pytest.raises(InsufficientPowers, match="k=3"):
         hilb_series(ds.table, 5)
+
+
+@pytest.mark.parametrize("name", [
+    "hilb_series", "nested_series", "chi_y_product", "chi_y_exp", "chi_y_from_hodge",
+    "betti_series", "hh_dims", "hh_rhs_series", "hilb_coefficient", "hilb_strata",
+    "hilb_via_partitions", "nested_via_strata",
+])
+def test_negative_order_is_rejected_by_every_series_function(name):
+    ds = preset("k3", max_power=4)
+    inputs = {
+        "betti_series": (ds.betti,),
+        "nested_series": (ds.table, ds.nested_or_main()),
+        "nested_via_strata": (ds.table, ds.nested_or_main()),
+    }.get(name, (ds.table,))
+    with pytest.raises(ValueError, match="needs a nonnegative order, got -1$"):
+        getattr(engine, name)(*inputs, -1)
 
 
 # -- partition route ---------------------------------------------------------
@@ -486,11 +502,9 @@ def test_nested_trivial_bundles_factorize():
     for name in ("hopf", "k3"):
         ds = preset(name, max_power=5)
         series = nested_series(ds.table, ds.nested_or_main(), 5)
-        surface = TriSeries(
-            {(p, q, 0): v for (p, q), v in ds.table.diamond(0).bigraded().items()}, 5
-        )
-        point_chain = euler_power((1, 1, 1), 1, 1, 5)
-        assert series == convolve(hilb_series(ds.table, 5), (surface * point_chain).layers())
+        surface = {(p, q, 0): v for (p, q), v in ds.table.diamond(0).bigraded().items()}
+        residual = layers_of(naive_mul(surface, euler_power((1, 1, 1), 1, 1, 5), 5), 5)
+        assert series == convolve(hilb_series(ds.table, 5), residual)
 
 
 def test_nested_strata_order_zero():
@@ -527,16 +541,16 @@ def test_nested_strata_match_product_route_on_random_tables(case):
 
 
 def _sym_by_series(dims, a):
-    """Sym^a of a bigraded super space through the TriSeries kernel.
+    """Sym^a of a bigraded super space through the reference series ring.
 
     The shape super_sym_series had before the packed binomial tables:
     one (1 -+ x^p y^q t)^{-+v} factor per bidegree, by euler_power.
     """
-    result = TriSeries.one(a)
+    result = {(0, 0, 0): 1}
     for (p, q), v in sorted(dims.items()):
         sign = -1 if (p + q) % 2 else 1
-        result = result * euler_power((sign, p, q), 1, sign * v, a)
-    return dict(result.layers()[a].items())
+        result = naive_mul(result, euler_power((sign, p, q), 1, sign * v, a), a)
+    return layers_of(result, a)[a]
 
 
 def _nested_per_marked_partition(table_l, table_llp, n):

@@ -1,7 +1,7 @@
 """The brute-force reference implementations in conftest."""
 
 import pytest
-from conftest import TooLarge, naive_mul, super_sym_multiset
+from conftest import TooLarge, layers_of, naive_mul, super_sym_multiset
 
 from hilbhodge.series import TriSeries
 
@@ -39,14 +39,13 @@ def test_guard_rejects_large_spaces():
 
 
 def test_naive_mul_identity_and_zero():
-    a = TriSeries({(1, 1, 1): 4, (0, 0, 0): 1}, 3)
-    one = TriSeries.one(3)
-    zero = TriSeries({}, 3)
-    assert naive_mul(a, one) == a
-    assert naive_mul(zero, a) == zero
+    a = {(1, 1, 1): 4, (0, 0, 0): 1}
+    assert naive_mul(a, {(0, 0, 0): 1}, 3) == a
+    assert naive_mul({}, a, 3) == {}
+    assert naive_mul(a, a, 1) == {(0, 0, 0): 1, (1, 1, 1): 8}  # truncated at t^1
 
 
 def test_naive_mul_matches_operator():
-    a = TriSeries({(0, 0, 0): 1, (1, 0, 1): -2, (0, 2, 2): 3}, 3)
-    b = TriSeries({(0, 0, 0): -1, (0, 1, 1): 5}, 3)
-    assert naive_mul(a, b) == a * b
+    a = {(0, 0, 0): 1, (1, 0, 1): -2, (0, 2, 2): 3}
+    b = {(0, 0, 0): -1, (0, 1, 1): 5}
+    assert layers_of(naive_mul(a, b, 3), 3) == (TriSeries(a, 3) * TriSeries(b, 3)).layers()

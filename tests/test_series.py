@@ -1,13 +1,27 @@
-"""Series ring: arithmetic, t-layers; the Euler factors built on it; the int exp recurrence."""
+"""Series ring: multiplication, t-layers; the Euler factors built on it; the int exp recurrence.
+
+The ring's constructor stores the map it is given, so every operand here is a
+clean term dict (no zero value, ``e_t <= trunc``), like those
+``_super_product`` hands it; the products are read back through ``layers()``.
+"""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
-from conftest import naive_mul, plus
+from conftest import layers_of, naive_mul, plus, random_table, terms_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbhodge.engine import IntegralityFailure, _exp_layers, _super_product
+from hilbhodge.engine import (
+    IntegralityFailure,
+    _exp_layers,
+    _super_product,
+    betti_series,
+    chi_y_product,
+    hilb_series,
+    nested_series,
+)
 from hilbhodge.series import TriSeries
 
 ONE = TriSeries.one(4)
@@ -17,35 +31,38 @@ ONE_PLUS_XT = TriSeries({(0, 0, 0): 1, (1, 0, 1): 1}, 4)
 ONE_PLUS_YT = TriSeries({(0, 0, 0): 1, (0, 1, 1): 1}, 4)
 
 
-def geometric(trunc):
-    """1/(1-t) written out, the brute-force way."""
-    return TriSeries({(0, 0, n): 1 for n in range(trunc + 1)}, trunc)
+# -- what the ring receives ------------------------------------------------
 
 
-# -- constructors and invariants ------------------------------------------
+def test_super_product_hands_the_ring_only_clean_terms(monkeypatch):
+    # the constructor checks nothing; every map the Euler builders (and the
+    # products they take) hand it must hold the ring's invariants
+    real = TriSeries.__init__
+    built = []
+
+    def checked(self, terms, trunc_t):
+        for (ex, ey, et), value in terms.items():
+            assert type(value) is int and value, ((ex, ey, et), value)
+            assert min(ex, ey, et) >= 0 and et <= trunc_t, ((ex, ey, et), trunc_t)
+        built.append(len(terms))
+        real(self, terms, trunc_t)
+
+    monkeypatch.setattr(TriSeries, "__init__", checked)
+    rng = Random(28)
+    negative_h = False
+    for _ in range(8):
+        table, table_lp = random_table(rng, 6), random_table(rng, 6)
+        hilb_series(table, 6)
+        nested_series(table, table_lp, 6)
+        chi_y_product(table, 6)
+        betti_series([rng.randint(0, 4) for _ in range(5)], 6)
+        negative_h |= any(
+            (-1) ** p * table.diamond(k).chi_column(p) < 0 for k in range(1, 7) for p in range(3)
+        )
+    assert negative_h and len(built) > 100
 
 
-def test_constructor_prunes_zero_terms():
-    s = TriSeries({(0, 0, 0): 1, (1, 0, 1): 0}, 3)
-    assert len(s) == 1
-
-
-def test_constructor_drops_terms_beyond_truncation():
-    s = TriSeries({(0, 0, 5): 3}, 2)
-    assert not s
-
-
-def test_constructor_rejects_floats():
-    # and fractions, an integral one included: coefficients are ints only
-    for value in (1.5, Fraction(1, 2), Fraction(2, 2)):
-        with pytest.raises(TypeError, match=f"got {type(value).__name__}"):
-            TriSeries({(0, 0, 0): value}, 2)
-
-
-def test_constructor_rejects_bools():
-    # True is an int subclass; kept, it would print as "True" in a rendered table
-    with pytest.raises(TypeError, match="got bool"):
-        TriSeries({(0, 0, 0): True}, 2)
+# -- mul -------------------------------------------------------------------
 
 
 def test_no_scalar_multiplication():
@@ -56,32 +73,25 @@ def test_no_scalar_multiplication():
             scalar * ONE
 
 
-def test_constructor_rejects_negative_exponents():
-    with pytest.raises(ValueError):
-        TriSeries({(-1, 0, 0): 1}, 2)
-
-
-# -- mul -------------------------------------------------------------------
-
-
 def test_mul_difference_of_squares():
-    assert ONE_PLUS_T * ONE_MINUS_T == TriSeries({(0, 0, 0): 1, (0, 0, 2): -1}, 4)
+    assert (ONE_PLUS_T * ONE_MINUS_T).layers() == layers_of({(0, 0, 0): 1, (0, 0, 2): -1}, 4)
 
 
 def test_mul_identity():
-    a = TriSeries({(2, 1, 3): 7, (0, 0, 1): -2}, 4)
-    assert a * ONE == a
+    a = {(2, 1, 3): 7, (0, 0, 1): -2}
+    assert (TriSeries(a, 4) * ONE).layers() == layers_of(a, 4)
 
 
 def test_mul_expands_binomials():
     got = ONE_PLUS_XT * ONE_PLUS_YT
-    want = TriSeries(
-        {(0, 0, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (1, 1, 2): 1}, 4
-    )
-    assert got == want
+    want = {(0, 0, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (1, 1, 2): 1}
+    assert got.layers() == layers_of(want, 4)
 
 
 # -- Euler factors: inverses and powers of 1 - m t^k ---------------------------
+
+
+ONE_LAYERS = layers_of({(0, 0, 0): 1}, 4)
 
 
 def factor(ex, ey, k, odd, h, trunc=4):
@@ -90,12 +100,12 @@ def factor(ex, ey, k, odd, h, trunc=4):
 
 
 def test_invert_geometric_series():
-    assert factor(0, 0, 1, 0, 1) == geometric(4).layers()
+    assert factor(0, 0, 1, 0, 1) == layers_of({(0, 0, n): 1 for n in range(5)}, 4)
 
 
 def test_invert_xy_geometric():
     s = factor(1, 1, 1, 0, 1)
-    assert s == TriSeries({(n, n, n): 1 for n in range(5)}, 4).layers()
+    assert s == layers_of({(n, n, n): 1 for n in range(5)}, 4)
 
 
 def test_invert_is_two_sided_up_to_truncation():
@@ -103,34 +113,29 @@ def test_invert_is_two_sided_up_to_truncation():
     for k in (1, 2):
         for h in (1, 2, -3):
             pair = [(1, 2, 0, h), (1, 2, 0, -h)]
-            assert _super_product(lambda level: pair if level == k else [], 4) == ONE.layers()
+            assert _super_product(lambda level: pair if level == k else [], 4) == ONE_LAYERS
 
 
 def test_pow_square():
-    assert factor(0, 0, 1, 1, 2) == TriSeries(
-        {(0, 0, 0): 1, (0, 0, 1): 2, (0, 0, 2): 1}, 4
-    ).layers()
+    assert factor(0, 0, 1, 1, 2) == layers_of({(0, 0, 0): 1, (0, 0, 1): 2, (0, 0, 2): 1}, 4)
 
 
 def test_pow_zero():
-    assert factor(1, 1, 1, 0, 0) == ONE.layers()
-    assert factor(1, 1, 1, 1, 0) == ONE.layers()
+    assert factor(1, 1, 1, 0, 0) == ONE_LAYERS
+    assert factor(1, 1, 1, 1, 0) == ONE_LAYERS
 
 
 def test_pow_negative_two():
     got = factor(0, 0, 1, 0, 2)
-    want = TriSeries({(0, 0, n): n + 1 for n in range(5)}, 4)
-    assert got == want.layers()
+    assert got == layers_of({(0, 0, n): n + 1 for n in range(5)}, 4)
 
 
 def test_pow_negative_equals_invert_of_pow():
     # an odd generator with h = -3 is 1/(1 + x t)^3
     pair = [(1, 0, 1, -3), (1, 0, 1, 3)]
-    assert _super_product(lambda level: pair if level == 1 else [], 4) == ONE.layers()
-    want = TriSeries(
-        {(n, 0, n): (-1) ** n * (n + 1) * (n + 2) // 2 for n in range(5)}, 4
-    )
-    assert factor(1, 0, 1, 1, -3) == want.layers()
+    assert _super_product(lambda level: pair if level == 1 else [], 4) == ONE_LAYERS
+    want = {(n, 0, n): (-1) ** n * (n + 1) * (n + 2) // 2 for n in range(5)}
+    assert factor(1, 0, 1, 1, -3) == layers_of(want, 4)
 
 
 # -- the exp route's recurrence ------------------------------------------------
@@ -164,25 +169,27 @@ def test_coefficient_of_t_picks_diagonal():
     assert s.layers()[3] == {(3, 3): 1}
 
 
+LAYER_CASES = [
+    ({}, 0),
+    ({(0, 0, 0): 1}, 0),
+    ({(1, 2, 0): -3, (0, 0, 0): 1}, 0),
+    ({}, 3),
+    ({(0, 0, 0): 1, (1, 0, 1): 1}, 4),  # layers 2..4 empty
+    ({(2, 1, 3): 5, (0, 0, 0): 1, (1, 1, 3): -2}, 4),
+    ({(n, n, n): 1 for n in range(5)}, 4),
+]
+
+
 @pytest.mark.parametrize(
-    "series",
-    [
-        TriSeries({}, 0),
-        TriSeries.one(0),
-        TriSeries({(1, 2, 0): -3, (0, 0, 0): 1}, 0),
-        TriSeries({}, 3),
-        ONE_PLUS_XT,  # layers 2..4 empty
-        TriSeries({(2, 1, 3): 5, (0, 0, 0): 1, (1, 1, 3): -2}, 4),
-        TriSeries({(n, n, n): 1 for n in range(5)}, 4),
-    ],
-    ids=repr,
+    "terms, trunc",
+    LAYER_CASES,
+    ids=[f"TriSeries({len(terms)} terms, trunc_t={trunc})" for terms, trunc in LAYER_CASES],
 )
-def test_layers_are_every_coefficient_of_t(series):
-    layers = series.layers()
-    assert len(layers) == series.trunc_t + 1
+def test_layers_are_every_coefficient_of_t(terms, trunc):
+    layers = TriSeries(terms, trunc).layers()
+    assert len(layers) == trunc + 1
     assert layers == [
-        {(ex, ey): v for (ex, ey, et), v in series.sorted_terms() if et == n}
-        for n in range(series.trunc_t + 1)
+        {(ex, ey): v for (ex, ey, et), v in terms.items() if et == n} for n in range(trunc + 1)
     ]
 
 
@@ -205,7 +212,7 @@ def test_super_product_counts_partitions():
 
 
 def test_super_product_of_ones():
-    assert _super_product(lambda k: [(k, k, k % 2, 0)], 3) == TriSeries.one(3).layers()
+    assert _super_product(lambda k: [(k, k, k % 2, 0)], 3) == layers_of({(0, 0, 0): 1}, 3)
 
 
 def test_super_product_truncation_one():
@@ -219,6 +226,7 @@ def test_super_product_truncation_one():
 
 @st.composite
 def series_st(draw, trunc=3):
+    """A clean term dict to t^trunc: drawn values of 0 are dropped, as the ring needs."""
     n_terms = draw(st.integers(0, 6))
     terms = {}
     for _ in range(n_terms):
@@ -228,15 +236,18 @@ def series_st(draw, trunc=3):
             draw(st.integers(0, trunc)),
         )
         terms[key] = draw(st.integers(-3, 3))
-    return TriSeries(terms, trunc)
+    return {key: v for key, v in terms.items() if v}
 
 
 @settings(max_examples=60, deadline=None)
 @given(series_st(), series_st(), series_st())
 def test_ring_axioms(a, b, c):
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * plus(b, c) == plus(a * b, a * c)
+    sa, sb, sc = (TriSeries(x, 3) for x in (a, b, c))
+    assert (sa * sb).layers() == (sb * sa).layers()
+    assert ((sa * sb) * sc).layers() == (sa * (sb * sc)).layers()
+    sum_bc = TriSeries(plus(b, c), 3)
+    sums = plus(terms_of((sa * sb).layers()), terms_of((sa * sc).layers()))
+    assert (sa * sum_bc).layers() == layers_of(sums, 3)
 
 
 def horner_exp(arg, trunc):
@@ -296,10 +307,11 @@ def test_exp_recurrence_matches_horner_loop(weighted):
 @settings(max_examples=60, deadline=None)
 @given(series_st(), series_st())
 def test_mul_matches_naive_oracle(a, b):
-    assert a * b == naive_mul(a, b)
+    assert (TriSeries(a, 3) * TriSeries(b, 3)).layers() == layers_of(naive_mul(a, b, 3), 3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(series_st(), series_st())
 def test_no_stored_zero_coefficients(a, b):
-    assert all(v != 0 for _, v in (a * b).sorted_terms())
+    product = TriSeries(a, 3) * TriSeries(b, 3)
+    assert all(v != 0 for layer in product.layers() for v in layer.values())
