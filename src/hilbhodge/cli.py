@@ -11,22 +11,28 @@ Subcommands::
     deform  tangent/obstruction dimensions h^q(Hilb^n S, T)
     verify  self-validation: every two-path identity on the given data
 
-``verify`` is :func:`hilbhodge.verify.run`, whose module describes its output;
-a main table that stops below N is exit 2 before any check.
+``build_parser`` declares every subcommand in one table: its dataset
+flags, order flags, the flags that bound the twists k it reads, further
+options, and ``--format`` choices and default.  :func:`main` loads the
+dataset once, to that bound, and prints once.  A handler ``(args, ds)``
+only computes, and returns one of: a ``(HodgePolynomial, n)`` pair, one
+space that ``main`` renders in ``--format``; a ``(payload, lines)`` pair,
+printed as one JSON document for ``--format json`` and otherwise line by
+line as ``lines`` yields them; or ``verify``'s exit code, from
+:func:`hilbhodge.verify.run`, whose module describes its output.
 An ``--input`` dataset that declares ``kahler_symmetric`` but has an
 asymmetric diamond prints ``warning: ...`` to stderr; stdout and the exit
 code are those of the same dataset without the flag.
 
-``build_parser`` declares every subcommand in one table: its dataset
-flags, order flags, further options, and ``--format`` choices and default.
-
 Exit codes: 0 success, 1 parse/validation errors (a missing or unreadable
 ``--input`` file is one, as is one that is not UTF-8 text, and the message
 names the flag; a bad value names its field, as ``diamonds[1]: ...``),
-2 insufficient twisted powers in the table (a short ``nested_diamonds``
-is named), 3 a verify check failed, 141 the reader closed stdout before
-the output ended (128 + SIGPIPE, as a shell reports for a process that a
-closed pipe stopped); nothing is printed to stderr then.
+2 insufficient twisted powers in the table, named by its field before the
+command runs (``diamonds stops at K=12, chiy needs every k <= 13: k=13 is
+missing``; a short ``nested_diamonds`` the same way), 3 a verify check
+failed, 141 the reader closed stdout before the output ended (128 +
+SIGPIPE, as a shell reports for a process that a closed pipe stopped);
+nothing is printed to stderr then.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
 
 from . import engine
 from .engine import HodgePolynomial, InsufficientPowers
@@ -98,16 +103,10 @@ def render_poly(poly: HodgePolynomial) -> str:
     return str(poly)
 
 
-_RENDERERS: dict[str, Callable[[HodgePolynomial, int], str]] = {
-    "diamond": lambda poly, n: render_diamond(poly),
-    "latex": lambda poly, n: render_latex(poly),
-    "json": render_json,
-    "poly": lambda poly, n: render_poly(poly),
-}
-
-
 def _render(poly: HodgePolynomial, n: int, fmt: str) -> str:
-    return _RENDERERS[fmt](poly, n)
+    if fmt == "json":
+        return render_json(poly, n)
+    return {"diamond": render_diamond, "latex": render_latex, "poly": render_poly}[fmt](poly)
 
 
 def _series_yt_payload(layers: list[engine.GradedDims]) -> list[dict]:
@@ -117,12 +116,21 @@ def _series_yt_payload(layers: list[engine.GradedDims]) -> list[dict]:
     ]
 
 
+def _y_term(y: int, c: int) -> str:
+    if not y:
+        return str(c)
+    power = "y" if y == 1 else f"y^{y}"
+    return power if c == 1 else f"{c}*{power}"
+
+
 # -- dataset loading ----------------------------------------------------------
 
 
-def _dataset(args: argparse.Namespace, needed_power: int) -> SurfaceDataset:
+def _dataset(args: argparse.Namespace) -> SurfaceDataset:
+    """The dataset, to the twist k that ``args.need`` bounds; shorter ``diamonds`` are exit 2."""
+    need = max((getattr(args, dest) or 0 for dest in args.need), default=0)
     if args.preset:
-        return preset(args.preset, max_power=max(needed_power, 0))
+        return preset(args.preset, max_power=need)
     try:
         ds = load_dataset(args.input)
     except OSError as exc:
@@ -134,137 +142,86 @@ def _dataset(args: argparse.Namespace, needed_power: int) -> SurfaceDataset:
         ) from None
     for warning in validate(ds):
         print(f"warning: {warning}", file=sys.stderr)
+    K = ds.table.max_power
+    if K < need:
+        raise InsufficientPowers(
+            f"diamonds stops at K={K}, {args.command} needs every k <= {need}: "
+            f"k={K + 1} is missing"
+        )
     return ds
 
 
-# -- command handlers ----------------------------------------------------------
+# -- command handlers: each computes, and main prints --------------------------
 
 
-def _cmd_hilb(args: argparse.Namespace) -> int:
-    # -n prints a diamond by default, -N the whole series as JSON
-    fmt = args.format or ("diamond" if args.n is not None else "json")
+def _cmd_hilb(args: argparse.Namespace, ds: SurfaceDataset) -> tuple:
     if args.n is not None:
-        ds = _dataset(args, args.n)
-        poly = engine.hilb_coefficient(ds.table, args.n)
-        print(_render(poly, args.n, fmt))
-        return 0
-    ds = _dataset(args, args.N)
-    layers = engine.hilb_series(ds.table, args.N)
-    if fmt == "json":
-        payload = {
-            "N": args.N,
-            "coefficients": [
-                json.loads(render_json(HodgePolynomial(layer, 2 * n), n))
-                for n, layer in enumerate(layers)
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for n, layer in enumerate(layers):
-            poly = HodgePolynomial(layer, 2 * n)
-            print(f"t^{n}:")
-            print(_render(poly, n, fmt))
-    return 0
-
-
-def _cmd_sym(args: argparse.Namespace) -> int:
-    ds = _dataset(args, args.k)
-    if args.k > ds.table.max_power:
-        raise InsufficientPowers(
-            f"sym needs the k={args.k} diamond; the table stops at K={ds.table.max_power}"
+        return engine.hilb_coefficient(ds.table, args.n), args.n
+    polys = (
+        (n, HodgePolynomial(layer, 2 * n))
+        for n, layer in enumerate(engine.hilb_series(ds.table, args.N))
+    )
+    if args.format not in (None, "json"):
+        return None, (
+            line for n, poly in polys for line in (f"t^{n}:", _render(poly, n, args.format))
         )
-    poly = engine.sym_power_twisted_hodge(ds.table.diamond(args.k), args.a)
-    print(_render(poly, args.a, args.format))
-    return 0
+    coefficients = [json.loads(render_json(poly, n)) for n, poly in polys]
+    return {"N": args.N, "coefficients": coefficients}, ()
 
 
-def _cmd_nested(args: argparse.Namespace) -> int:
-    ds = _dataset(args, args.n)
+def _cmd_sym(args: argparse.Namespace, ds: SurfaceDataset) -> tuple:
+    return engine.sym_power_twisted_hodge(ds.table.diamond(args.k), args.a), args.a
+
+
+def _cmd_nested(args: argparse.Namespace, ds: SurfaceDataset) -> tuple:
     llp = engine._nested_table(ds, args.n, "nested", InsufficientPowers)
-    poly = engine.nested_coefficient(ds.table, llp, args.n)
-    print(_render(poly, args.n, args.format))
-    return 0
+    return engine.nested_coefficient(ds.table, llp, args.n), args.n
 
 
-def _cmd_chiy(args: argparse.Namespace) -> int:
-    ds = _dataset(args, args.N)
+def _cmd_chiy(args: argparse.Namespace, ds: SurfaceDataset) -> tuple:
     route = {
         "product": engine.chi_y_product,
         "exp": engine.chi_y_exp,
         "hodge": engine.chi_y_from_hodge,
     }[args.method]
-    layers = route(ds.table, args.N)
-    if args.format == "json":
-        # no method field: the three routes must be byte-identical
-        payload = {
-            "N": args.N,
-            "coefficients": _series_yt_payload(layers),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for entry in _series_yt_payload(layers):
-            pieces = []
-            for t in entry["terms"]:
-                if not t["y"]:
-                    pieces.append(str(t["c"]))
-                else:
-                    power = "y" if t["y"] == 1 else f"y^{t['y']}"
-                    pieces.append(power if t["c"] == 1 else f"{t['c']}*{power}")
-            print(f"t^{entry['t']}: {' + '.join(pieces) or '0'}")
-    return 0
+    entries = _series_yt_payload(route(ds.table, args.N))
+    # no method field: the three routes must be byte-identical
+    return {"N": args.N, "coefficients": entries}, (
+        f"t^{e['t']}: {' + '.join(_y_term(t['y'], t['c']) for t in e['terms']) or '0'}"
+        for e in entries
+    )
 
 
-def _cmd_betti(args: argparse.Namespace) -> int:
-    ds = _dataset(args, args.N)
-    rows = []
-    for n, layer in enumerate(engine.betti_series(ds.betti, args.N)):
-        b = [layer.get(i, 0) for i in range(4 * n + 1)]
-        rows.append({"t": n, "b": b})
-    if args.format == "json":
-        print(json.dumps({"N": args.N, "coefficients": rows}, indent=2))
-    else:
-        for row in rows:
-            print(f"n={row['t']}: {' '.join(map(str, row['b']))}")
-    return 0
+def _cmd_betti(args: argparse.Namespace, ds: SurfaceDataset) -> tuple:
+    rows = [
+        {"t": n, "b": [layer.get(i, 0) for i in range(4 * n + 1)]}
+        for n, layer in enumerate(engine.betti_series(ds.betti, args.N))
+    ]
+    return {"N": args.N, "coefficients": rows}, (
+        f"n={row['t']}: {' '.join(map(str, row['b']))}" for row in rows
+    )
 
 
-def _cmd_hh(args: argparse.Namespace) -> int:
-    ds = _dataset(args, args.n)
+def _cmd_hh(args: argparse.Namespace, ds: SurfaceDataset) -> tuple:
     dims = engine.hh_dims(ds.table, args.n)
     entries = [{"i": i, "dim": dims[i]} for i in sorted(dims)]
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "dims": entries}, indent=2))
-    else:
-        for entry in entries:
-            print(f"HH_{entry['i']}: {entry['dim']}")
-    return 0
+    return {"n": args.n, "dims": entries}, (f"HH_{e['i']}: {e['dim']}" for e in entries)
 
 
-def _cmd_deform(args: argparse.Namespace) -> int:
-    ds = _dataset(args, max(args.n, 1))
+def _cmd_deform(args: argparse.Namespace, ds: SurfaceDataset) -> tuple:
     if ds.deformation is None:
         raise SurfaceDataError("dataset carries no deformation block")
     dims = engine.deformation_dims(ds.deformation, args.n, args.qmax)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "dims": [{"q": q, "h": dims[q]} for q in sorted(dims)],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print("q   h^q(Hilb^n S, T)")
-        for q in sorted(dims):
-            print(f"{q}   {dims[q]}")
-        if args.qmax >= 3:
-            print(
-                "note: values for q >= 3 expand the invariant tangent cohomology "
-                "of S^n by symmetric powers (derived convention)"
-            )
-    return 0
+    lines = ["q   h^q(Hilb^n S, T)", *(f"{q}   {dims[q]}" for q in sorted(dims))]
+    if args.qmax >= 3:
+        lines.append(
+            "note: values for q >= 3 expand the invariant tangent cohomology "
+            "of S^n by symmetric powers (derived convention)"
+        )
+    return {"n": args.n, "dims": [{"q": q, "h": dims[q]} for q in sorted(dims)]}, lines
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    ds = _dataset(args, args.N)
+def _cmd_verify(args: argparse.Namespace, ds: SurfaceDataset) -> int:
     from . import verify  # loaded for this command only
     return verify.run(ds, args.N)
 
@@ -304,31 +261,32 @@ def build_parser() -> argparse.ArgumentParser:
     diamond = ("diamond", "latex", "json", "poly")
     text = ("json", "text")
     # name, help, handler; the order flags and their help (hilb takes exactly
-    # one of its two, every other command its one); further options; the
-    # --format choices and default (hilb's default follows -n or -N, so its
-    # handler picks it; verify has no --format)
-    for name, summary, func, orders, options, formats, default in (
+    # one of its two, every other command its one); the flag giving the highest
+    # twist k the command reads, which main loads and checks (betti reads k = 0
+    # alone, deform no table); further options; the --format choices and
+    # default (hilb's follows -n or -N, in main; verify has no --format)
+    for name, summary, func, orders, need, options, formats, default in (
         ("hilb", "twisted Hodge numbers of Hilb^n S", _cmd_hilb,
          {"-n": "single Hilbert scheme index", "-N": "series truncation order"},
-         {}, diamond, None),
+         ("-n", "-N"), {}, diamond, None),
         ("sym", "symmetric-power table Sym^a of a diamond", _cmd_sym,
-         {"-a": "symmetric power"},
+         {"-a": "symmetric power"}, ("-k",),
          {"-k": dict(type=_nonnegative_int, default=1, help="bundle power (default 1)")},
          diamond, "diamond"),
         ("nested", "twisted Hodge numbers of Hilb^{n,n+1} S", _cmd_nested,
-         {"-n": None}, {}, diamond, "diamond"),
+         {"-n": None}, ("-n",), {}, diamond, "diamond"),
         ("chiy", "refined chi_y genera", _cmd_chiy,
-         {"-N": None},
+         {"-N": None}, ("-N",),
          {"--method": dict(choices=("product", "exp", "hodge"), default="product")},
          ("json", "poly"), "json"),
         ("betti", "Betti numbers of Hilb^n S", _cmd_betti,
-         {"-N": None}, {}, text, "json"),
+         {"-N": None}, (), {}, text, "json"),
         ("hh", "Hochschild homology dimensions", _cmd_hh,
-         {"-n": None}, {}, text, "json"),
+         {"-n": None}, ("-n",), {}, text, "json"),
         ("deform", "tangent cohomology of Hilb^n S", _cmd_deform,
-         {"-n": None}, {"--qmax": dict(type=_nonnegative_int, default=3)}, text, "text"),
+         {"-n": None}, (), {"--qmax": dict(type=_nonnegative_int, default=3)}, text, "text"),
         ("verify", "run every self-validation check", _cmd_verify,
-         {"-N": None}, {}, (), None),
+         {"-N": None}, ("-N",), {}, (), None),
     ):
         p = sub.add_parser(name, help=summary)
         data = p.add_mutually_exclusive_group(required=True)
@@ -346,18 +304,26 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **kwargs)
         if formats:
             p.add_argument("--format", choices=formats, default=default)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, need=[flag.lstrip("-") for flag in need])
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        result = args.func(args, _dataset(args))
+        if isinstance(result, tuple):
+            head, tail = result
+            if isinstance(head, HodgePolynomial):  # one space and its n
+                tail = [_render(head, tail, args.format or "diamond")]
+            elif (args.format or "json") == "json":  # a payload and its text lines
+                tail = [json.dumps(head, indent=2)]
+            for line in tail:
+                print(line)
+            result = 0
         sys.stdout.flush()  # a reader that went away fails here, not at exit
-        return code
+        return result
     except BrokenPipeError:
         # the reader closed stdout (``| head``): stop quietly, and point stdout
         # at the null device so the interpreter's own flush at exit cannot fail

@@ -195,7 +195,8 @@ def run(ds: SurfaceDataset, N: int) -> int:
     """Run every check up to order N; ``InsufficientPowers`` if the main table stops short.
 
     The shared series is expanded once, in process, before the first check,
-    so a short main table raises before any output.
+    so a short main table raises before any output.  The CLI rejects such a
+    table itself, naming ``diamonds``, before it calls this.
     """
     shared = _expand(ds.table, N)
     failures: list[str] = []

@@ -11,6 +11,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from collections.abc import Mapping
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations_with_replacement
@@ -20,6 +21,16 @@ from random import Random
 import hilbhodge
 from hilbhodge.cli import main as cli_main
 from hilbhodge.surfaces import SurfaceDiamond, TwistedTable
+
+# hypothesis reports a failing example through libcst, whose import raises a
+# DeprecationWarning when mypy_extensions is installed; under ``-W error`` that
+# would end the whole session at the first failure, so import it here, once
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst the plugin writes no patch
+        pass
 
 
 def random_diamond(rng: Random, hi: int = 3) -> SurfaceDiamond:

@@ -657,8 +657,7 @@ def test_verify_on_a_short_main_table_exits_2_before_any_output(tmp_path, fork):
     assert run_cli("verify", "--input", str(path), "-N", "5") == (
         2,
         "",
-        "error: hilb_series needs h^(p,q)(S, L^k) for every k <= 5, but the "
-        "table stops at K=3: k=4 is missing\n",
+        "error: diamonds stops at K=3, verify needs every k <= 5: k=4 is missing\n",
     )
     _no_child_left()
 
@@ -773,12 +772,38 @@ def test_nested_on_a_short_nested_table_names_the_field(tmp_path):
         "",
         "error: nested_diamonds stops at K=1, nested needs every k <= 3: k=2 is missing\n",
     )
-    # a main table short of n keeps the engine's message, as before
+    # a main table short of n is named first, by its own field
     obj["max_power"], obj["diamonds"] = 1, obj["diamonds"][:2]
     path.write_text(json.dumps(obj))
-    code, out, err = run_cli("nested", "--input", str(path), "-n", "3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: nested_series needs ")
+    assert run_cli("nested", "--input", str(path), "-n", "3") == (
+        2,
+        "",
+        "error: diamonds stops at K=1, nested needs every k <= 3: k=2 is missing\n",
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilb", "-n", "13"),
+    ("hilb", "-N", "13"),
+    ("sym", "-a", "1", "-k", "13"),
+    ("nested", "-n", "13"),
+    ("chiy", "-N", "13", "--method", "product"),
+    ("chiy", "-N", "13", "--method", "exp"),
+    ("chiy", "-N", "13", "--method", "hodge"),
+    ("hh", "-n", "13"),
+    ("verify", "-N", "13"),
+], ids=" ".join)
+def test_a_short_main_table_names_the_field_and_the_subcommand(tmp_path, argv):
+    # one message for every subcommand that reads each k up to its order,
+    # whichever engine function would have run first
+    path = tmp_path / "k3.json"
+    path.write_text(serialize(preset("k3", max_power=12)))
+    command, *rest = argv
+    assert run_cli(command, "--input", str(path), *rest) == (
+        2,
+        "",
+        f"error: diamonds stops at K=12, {command} needs every k <= 13: k=13 is missing\n",
+    )
 
 
 def test_missing_file_exits_1(tmp_path):
@@ -844,19 +869,31 @@ def test_sym_negative_bundle_power_exits_1():
     assert "argument -k: must be nonnegative, got -1" in err
 
 
-def test_closed_stdout_exits_quietly():
-    # about 220 kB of output, well beyond a pipe's buffer
-    argv = [sys.executable, "-m", "hilbhodge.cli"]
-    argv += ["hilb", "--preset", "torus", "-N", "12"]
+def _read_one_line_and_close(*argv: str) -> tuple[bytes, bytes, int]:
+    """The first stdout line, all of stderr and the exit code of a CLI run
+    whose reader closes stdout after one line."""
     with subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env()
+        [sys.executable, "-m", "hilbhodge.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
     ) as proc:
-        assert proc.stdout.readline() == b"{\n"
+        line = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
-    assert err == b""
-    assert code == 141
+    return line, err, code
+
+
+def test_closed_stdout_exits_quietly():
+    # about 220 kB of output, well beyond a pipe's buffer
+    assert _read_one_line_and_close("hilb", "--preset", "torus", "-N", "12") == (
+        b"{\n", b"", 141
+    )
+
+
+def test_closed_stdout_exits_quietly_from_a_text_series():
+    # 132,234 bytes of diamonds, printed line by line, beyond a 64 KiB pipe buffer
+    argv = ("hilb", "--preset", "torus", "-N", "16", "--format", "diamond")
+    assert _read_one_line_and_close(*argv) == (b"t^0:\n", b"", 141)
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
