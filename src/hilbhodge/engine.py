@@ -43,37 +43,18 @@ _SuperGenerator = tuple[int, int, int, int]
 # (e, odd, h): h generators of degree e in one variable
 _Generator = tuple[int, int, int]
 
-__all__ = [
-    "EngineError",
-    "GradedDims",
-    "HodgePolynomial",
-    "InsufficientPowers",
-    "IntegralityFailure",
-    "betti_series",
-    "chi_y_exp",
-    "chi_y_from_hodge",
-    "chi_y_from_hodge_series",
-    "chi_y_product",
-    "deformation_closed_forms",
-    "deformation_dims",
-    "hh_dims",
-    "hh_rhs_series",
-    "hilb_coefficient",
-    "hilb_series",
-    "hilb_strata",
-    "hilb_via_partitions",
-    "nested_coefficient",
-    "nested_series",
-    "nested_via_strata",
-    "sn_invariant_tangent",
-    "sym_power_twisted_hodge",
-    "tangent_dims_from_layer",
-]
-
 # the strata route lives in hilbhodge.strata, loaded on first use (PEP 562)
 _STRATA_NAMES = frozenset((
     "deformation_closed_forms", "deformation_dims", "hilb_strata", "hilb_via_partitions",
     "nested_via_strata", "sn_invariant_tangent", "sym_power_twisted_hodge",
+))
+
+__all__ = sorted((
+    "EngineError", "GradedDims", "HodgePolynomial", "InsufficientPowers",
+    "IntegralityFailure", "betti_series", "chi_y_exp", "chi_y_from_hodge",
+    "chi_y_from_hodge_series", "chi_y_product", "hh_dims", "hh_rhs_series",
+    "hilb_coefficient", "hilb_series", "nested_coefficient", "nested_series",
+    *_STRATA_NAMES,
 ))
 
 
@@ -107,9 +88,12 @@ def _require_powers(table: TwistedTable, needed: int, operation: str) -> None:
 
 
 def _nested_table(ds: SurfaceDataset, needed: int, who: str, error: type) -> TwistedTable:
-    """The L^j x L' table, or ``error`` if ``nested_diamonds`` stops below ``needed``."""
+    """The L^j x L' table, or ``error`` if ``nested_diamonds`` stops below ``needed``.
+
+    Callers reject a main table that stops below ``needed`` first.
+    """
     llp = ds.nested_or_main()
-    if llp.max_power < needed <= ds.table.max_power:  # a short main table fails later
+    if llp.max_power < needed:
         raise error(
             f"nested_diamonds stops at K={llp.max_power}, {who} needs "
             f"every k <= {needed}: k={llp.max_power + 1} is missing"
@@ -440,17 +424,3 @@ def hh_rhs_series(table: TwistedTable, trunc_t: int) -> list[GradedDims]:
         lambda k: ((q - p, (p + q) % 2, h) for (p, q), h in table.diamond(k).bigraded().items()),
         trunc_t,
     )
-
-
-# -- deformation theory ------------------------------------------------------
-
-
-def tangent_dims_from_layer(poly: HodgePolynomial, qmax: int = 3) -> GradedDims:
-    """Tangent cohomology of Hilb^n S, n >= 1, read off its Hodge numbers.
-
-    Valid when ``poly`` comes from the trivial-bundle table of a surface
-    with trivial canonical bundle: then h^q(Hilb^n, T) = h^{2n-1, q}(Hilb^n),
-    the column p = 2n - 1 of the ordinary Hodge diamond.
-    """
-    column = poly.space_dim - 1  # p = 2n - 1
-    return {q: poly.entry(column, q) for q in range(qmax + 1)}

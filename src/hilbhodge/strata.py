@@ -40,10 +40,6 @@ def _slot_bits(bound: int) -> int:
     return 8 * max(1, (bound.bit_length() + 7) // 8)
 
 
-def _pack(terms: Mapping[tuple[int, int], int], width: int, slot: int) -> int:
-    return sum(v << (p * width + q) * slot for (p, q), v in terms.items())
-
-
 def _unpack(packed: int, width: int, slot: int) -> dict[tuple[int, int], int]:
     """The (p, q) -> coefficient map of a packed polynomial, in one byte pass."""
     size = slot // 8
@@ -183,7 +179,8 @@ def nested_via_strata(
     pair is a partition mu of n - j plus one part j, and its shift
     n - len + 1 is (n - j - len mu) + j, so the sum is one convolution:
     sum_j (stratum layer n - j of L) E(S, L^j x L') (xy)^j, the strata
-    form of :func:`~hilbhodge.engine.nested_series`.
+    form of :func:`~hilbhodge.engine.nested_series`; each residual diamond
+    enters packed as its own Sym^1.
     """
     _require_powers(table_l, n, "nested_via_strata")
     _require_powers(table_llp, n, "nested_via_strata (residual bundle)")
@@ -191,8 +188,8 @@ def nested_via_strata(
 
     def packed(width: int, slot: int) -> list[int]:
         layers = _strata(table_l, n, width, slot)
-        return [sum(layers[n - j] * _pack(residuals[j], width, slot) << j * (width + 1) * slot
-                    for j in range(n + 1))]
+        return [sum(layers[n - j] * _sym_layers(residuals[j], 1, width, slot)[1]
+                    << j * (width + 1) * slot for j in range(n + 1))]
     return HodgePolynomial(_kronecker(packed, 2 * n + 3)[0], 2 * n + 2)
 
 
@@ -203,10 +200,27 @@ def _sym_graded(triple: tuple[int, int, int], m: int) -> GradedDims:
     """Super symmetric power Sym^m of a single-graded space in degrees 0..2.
 
     Used for H^*(S^{(m)}, O) = Sym^m H^{0,*}(S); degree-1 generators are
-    odd, the others even.  Sym^0 is one dimension in degree 0.
+    odd, the others even.  Sym^0 is one dimension in degree 0, and
+    Sym^m = 0 for m < 0.
     """
+    if m < 0:
+        return {}
     dims = {(0, j): v for j, v in enumerate(triple) if v}
     return {ey: v for (_, ey), v in _sym_terms(dims, m)[m].items()}
+
+
+def _tensor_sym(
+    triple: tuple[int, int, int], shift: int, hO: tuple[int, int, int], m: int
+) -> GradedDims:
+    """A triple in degrees shift..shift + 2 tensor Sym^m H^{0,*}(S); no zero entry."""
+    sym = _sym_graded(hO, m)
+    out: GradedDims = {}
+    for a, v in enumerate(triple, start=shift):
+        if not v:
+            continue
+        for d, w in sym.items():
+            out[a + d] = out.get(a + d, 0) + v * w
+    return out
 
 
 def sn_invariant_tangent(din: DeformationInput, n: int) -> GradedDims:
@@ -219,39 +233,22 @@ def sn_invariant_tangent(din: DeformationInput, n: int) -> GradedDims:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    sym = _sym_graded(din.hO, n - 1)
-    out: GradedDims = {}
-    for a, v in enumerate(din.hT):
-        if not v:
-            continue
-        for d, w in sym.items():
-            out[a + d] = out.get(a + d, 0) + v * w
-    return out
+    return _tensor_sym(din.hT, 0, din.hO, n - 1)
 
 
 def deformation_dims(din: DeformationInput, n: int, qmax: int = 3) -> GradedDims:
     """Dimensions h^q(Hilb^n S, tangent sheaf) for q = 0..qmax.
 
-    For n >= 2 this sums the invariant tangent cohomology of S^n with
-    three shifted contributions H^{q-s}(S^{(n-2)}, O) x h^{s-1}(wedge^2 T_S),
-    s = 1, 2, 3; negative-degree cohomology is zero and S^{(0)} is a
-    point.  n = 1 returns hT and n = 0 is identically zero.
+    One formula for every n: H^*(S, T_S) x Sym^{n-1} H^{0,*}(S), the
+    invariant tangent cohomology of S^n, plus H^{*-1}(S, wedge^2 T_S) x
+    Sym^{n-2} H^{0,*}(S).  With Sym^m = 0 for m < 0, n = 1 gives hT and
+    n = 0 is identically zero.
     """
     if n < 0 or qmax < 0:
         raise ValueError("n and qmax must be nonnegative")
-    if n == 0:
-        return {q: 0 for q in range(qmax + 1)}
-    if n == 1:
-        return {q: (din.hT[q] if q < 3 else 0) for q in range(qmax + 1)}
-    snt = sn_invariant_tangent(din, n)
-    sym_o = _sym_graded(din.hO, n - 2)
-    out: GradedDims = {}
-    for q in range(qmax + 1):
-        total = snt.get(q, 0)
-        for s, w2 in enumerate(din.hW2, start=1):
-            total += sym_o.get(q - s, 0) * w2
-        out[q] = total
-    return out
+    tangent = _tensor_sym(din.hT, 0, din.hO, n - 1)
+    wedge = _tensor_sym(din.hW2, 1, din.hO, n - 2)
+    return {q: tangent.get(q, 0) + wedge.get(q, 0) for q in range(qmax + 1)}
 
 
 def deformation_closed_forms(din: DeformationInput, n: int) -> tuple[int, int, int]:

@@ -3,7 +3,7 @@ and the argparse error and help text of every subcommand.
 
 Each entry pins the sha256 of stdout and the exit code of one command on
 ``hopf``, ``k3`` or an inline twisted dataset with ``nested_diamonds``;
-stderr is empty except on the three ``deform`` commands on ``hopf``.
+stderr is empty except on the seven ``deform`` commands on ``hopf``.
 The argparse pins hold the exact stderr of each argument error (exit 1,
 empty stdout) and the digest of each ``--help`` text.
 A change that is meant to keep the output byte-identical must keep every
@@ -57,6 +57,9 @@ def _commands() -> list[tuple[str, ...]]:
     out += formats(("betti", "-N", "5"), (None, "json", "text"))
     out += formats(("hh", "-n", "3"), (None, "json", "text"))
     out += formats(("deform", "-n", "3"), (None, "json", "text"))
+    # n = 0 and 1 are the formula's degenerate cases (Sym^m = 0 for m < 0)
+    out += [("deform", "-n", n) for n in ("0", "1", "2")]
+    out.append(("deform", "-n", "3", "--qmax", "5"))
     out.append(("verify", "-N", "4"))
     return out
 
@@ -106,6 +109,10 @@ GOLDEN = {
     "hopf deform -n 3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "hopf deform -n 3 --format json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "hopf deform -n 3 --format text": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hopf deform -n 0": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hopf deform -n 1": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hopf deform -n 2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "hopf deform -n 3 --qmax 5": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "hopf verify -N 4": (0, "d1850189d969bdd891024503fef1057cf3fccb07420a144ec921e2732c7230b3"),
     "k3 hilb -n 3": (0, "c13535d5472dfa53a31b622d15dbdb3ab9fdea7e90b0f30af20b9a192c264e99"),
     "k3 hilb -n 3 --format diamond": (0, "c13535d5472dfa53a31b622d15dbdb3ab9fdea7e90b0f30af20b9a192c264e99"),
@@ -150,6 +157,10 @@ GOLDEN = {
     "k3 deform -n 3": (0, "f4f1f74bdb397386cb5e76a3f2e43afc54356fba3f42cd8e17d5ac82da4c6313"),
     "k3 deform -n 3 --format json": (0, "74ec34d8ea526e05bb2ab277ce11e6abf2220508e775eb68e56ccf1eab2386ef"),
     "k3 deform -n 3 --format text": (0, "f4f1f74bdb397386cb5e76a3f2e43afc54356fba3f42cd8e17d5ac82da4c6313"),
+    "k3 deform -n 0": (0, "4ebd93595ec4bc058174daf21b952c7745dce7ce6e3cdc6451d45f59af2fd119"),
+    "k3 deform -n 1": (0, "380c04fd9c2d5bae2c33d2508f2316ee158b12f35477fa1eeb9dadfdb40df5ec"),
+    "k3 deform -n 2": (0, "a7335cfbb48dac770187caaba910849aa4052ea766497d46b40ea56f2e53b8c2"),
+    "k3 deform -n 3 --qmax 5": (0, "26b5dbe5e40c5e5ee4fd8a811a634d9a43a6095737318063b7f248d4bfa92a3f"),
     "k3 verify -N 4": (0, "873bce18e2014e582b86b2b6058e50caac0df67413354a1b812fd5b7e164cc23"),
     "twisted hilb -n 3": (0, "31530f5a1868809bef77b2dc51cc1d9d335d8aa914e80ff0f24f370e34329703"),
     "twisted hilb -n 3 --format diamond": (0, "31530f5a1868809bef77b2dc51cc1d9d335d8aa914e80ff0f24f370e34329703"),
@@ -194,19 +205,23 @@ GOLDEN = {
     "twisted deform -n 3": (0, "650e5e6858cf02b75f8092c166fc3c1729c184d36bf284f327a428f6b68d404c"),
     "twisted deform -n 3 --format json": (0, "86b5d949ec0560ce980662ba67b0fafe0a7565ac4cb583259b98b3fe6beb19c9"),
     "twisted deform -n 3 --format text": (0, "650e5e6858cf02b75f8092c166fc3c1729c184d36bf284f327a428f6b68d404c"),
+    "twisted deform -n 0": (0, "4ebd93595ec4bc058174daf21b952c7745dce7ce6e3cdc6451d45f59af2fd119"),
+    "twisted deform -n 1": (0, "00ec58e0d538b1c7010f65fb7761b4ac5b67b5c84cd5bba719900cca43278578"),
+    "twisted deform -n 2": (0, "795365f0f80bd927e51198b644f629a22691178730a10acde520d81747dbb58d"),
+    "twisted deform -n 3 --qmax 5": (0, "f4bf7aab7828cc69b5a5a2ddbda65ad720f8fb2cdafaa7efb9edb9cb4e3589f5"),
     "twisted verify -N 4": (0, "1aa3d02e1b4ccefa4d097cf3405b24fba9f98d144514a02f84316be0cf839bf9"),
-}
-
-
-# stderr of the commands that exit nonzero; every other command writes none
-GOLDEN_STDERR = {
-    f"hopf deform -n 3{fmt}": "error: dataset carries no deformation block\n"
-    for fmt in ("", " --format json", " --format text")
 }
 
 
 def _key(dataset: str, argv: tuple[str, ...]) -> str:
     return f"{dataset} {' '.join(argv)}"
+
+
+# stderr of the commands that exit nonzero; every other command writes none
+GOLDEN_STDERR = {
+    _key("hopf", argv): "error: dataset carries no deformation block\n"
+    for argv in _commands() if argv[0] == "deform"
+}
 
 
 @pytest.fixture(scope="module")

@@ -43,11 +43,16 @@ from hilbhodge.engine import (
     nested_via_strata,
     sn_invariant_tangent,
     sym_power_twisted_hodge,
-    tangent_dims_from_layer,
 )
 from hilbhodge.series import TriSeries
 from hilbhodge.strata import _sym_terms
-from hilbhodge.surfaces import PRESET_NAMES, SurfaceDiamond, TwistedTable, preset
+from hilbhodge.surfaces import (
+    PRESET_NAMES,
+    DeformationInput,
+    SurfaceDiamond,
+    TwistedTable,
+    preset,
+)
 
 HOPF = preset("hopf", max_power=12)
 
@@ -186,6 +191,16 @@ def test_euler_side_calls_no_strata_helper():
     assert out == f"{betti_series(preset('k3', max_power=4).betti, 4)[4]}\n"
     assert "hilbhodge.engine" in modules
     assert "hilbhodge.strata" not in modules
+
+
+def test_engine_forwards_exactly_the_strata_names():
+    # verify, the benchmark and its tracer look every strata function up in engine
+    from hilbhodge import strata
+
+    assert engine._STRATA_NAMES == set(strata.__all__)
+    for name in strata.__all__:
+        assert name in engine.__all__
+        assert getattr(engine, name) is getattr(strata, name)
 
 
 # -- the main series --------------------------------------------------------
@@ -803,10 +818,38 @@ def test_sn_invariant_tangent_n1_is_hT():
 
 
 def test_sn_invariant_tangent_examples():
-    torus = preset("torus").deformation
-    assert sn_invariant_tangent(torus, 2)[1] == 8  # 4*1 + 2*2
-    k3 = preset("k3").deformation
-    assert sn_invariant_tangent(k3, 2)[1] == 20
+    # whole dicts of H^*(S, T_S) x Sym^1 H^{0,*}(S) on every preset with a
+    # deformation block: a degree whose products all vanish has no key
+    blocks = {name: preset(name, max_power=0).deformation for name in PRESET_NAMES}
+    assert {name: sn_invariant_tangent(din, 2) for name, din in blocks.items() if din} == {
+        "bielliptic_ord2": {0: 1, 1: 3, 2: 3, 3: 1},
+        "bielliptic_ord3": {0: 1, 1: 2, 2: 1},
+        "enriques": {1: 10},
+        "k3": {1: 20, 3: 20},
+        "p2": {0: 8},
+        "torus": {0: 2, 1: 8, 2: 12, 3: 8, 4: 2},  # h^1 = 4*1 + 2*2
+    }
+
+
+deformation_blocks = st.builds(
+    DeformationInput,
+    st.tuples(*[st.integers(0, 6)] * 3),
+    st.tuples(st.just(1), st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(*[st.integers(0, 6)] * 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(deformation_blocks)
+def test_deformation_formula_at_n_0_and_1_and_its_closed_forms_from_n_3(din):
+    # one formula for every n: Sym^m = 0 for m < 0 gives zero at n = 0 and hT at n = 1
+    for qmax in range(6):
+        assert deformation_dims(din, 0, qmax) == dict.fromkeys(range(qmax + 1), 0)
+        hT = dict.fromkeys(range(qmax + 1), 0) | dict(enumerate(din.hT[: qmax + 1]))
+        assert deformation_dims(din, 1, qmax) == hT
+    for n in range(3, 7):
+        dims = deformation_dims(din, n, 2)
+        assert (dims[0], dims[1], dims[2]) == deformation_closed_forms(din, n)
 
 
 def test_deformation_dims_edge_cases():
@@ -859,8 +902,6 @@ def test_deformation_closed_forms_preconditions():
     din = preset("k3").deformation
     with pytest.raises(ValueError):
         deformation_closed_forms(din, 1)
-    from hilbhodge.surfaces import DeformationInput
-
     disconnected = DeformationInput((0, 1, 0), (2, 0, 0), (0, 0, 0), connected=False)
     with pytest.raises(ValueError):
         deformation_closed_forms(disconnected, 2)
@@ -870,7 +911,7 @@ def test_omega_trivial_cross_check():
     # with trivial canonical bundle, h^q(Hilb^n, T) is the p = 2n-1 column
     for name in ("k3", "torus"):
         ds = preset(name, max_power=3)
+        series = hilb_series(ds.table, 3)
         for n in (2, 3):
-            assert deformation_dims(ds.deformation, n, 3) == tangent_dims_from_layer(
-                hilb_coefficient(ds.table, n), 3
-            )
+            column = {q: series[n].get((2 * n - 1, q), 0) for q in range(4)}
+            assert deformation_dims(ds.deformation, n, 3) == column
