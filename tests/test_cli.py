@@ -555,6 +555,18 @@ def test_witness_is_both_routes_at_every_point_and_sees_one_changed_entry(case, 
 # -- the shared series -----------------------------------------------------------
 
 
+@pytest.fixture(params=["fork", "no fork"])
+def fork(request, monkeypatch):
+    """Run verify with os.fork present, or as on a platform without it."""
+    if request.param == "no fork":
+        monkeypatch.delattr(os, "fork")
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):  # verify left no child process behind
+        os.waitpid(-1, os.WNOHANG)
+
+
 _FAILED_SERIES_LINES = [
     "product-vs-partition: FAIL ({})",
     "chi-y-three-way: FAIL ({})",
@@ -583,8 +595,9 @@ def _boom(series):
     raise IntegralityFailure("boom")
 
 
-def test_verify_fails_each_check_that_reads_a_failed_series(monkeypatch):
+def test_verify_fails_each_check_that_reads_a_failed_series(monkeypatch, fork):
     code, out, err = _verify_k3_with_the_shared_series(_boom, monkeypatch)
+    _no_child_left()
     assert (code, err) == (3, "")
     assert out.splitlines() == [line.format("boom") for line in _FAILED_SERIES_LINES]
 
@@ -618,16 +631,18 @@ def test_verify_starts_no_process(monkeypatch):
     assert out.endswith("all checks passed\n")
 
 
-def test_verify_lets_a_non_check_exception_propagate(monkeypatch):
+def test_verify_reaps_the_child_when_a_check_raises(monkeypatch, fork):
+    # a non-check exception propagates out of verify, and no process is left
     def broken(table, N):
         raise RuntimeError("not a check failure")
 
     monkeypatch.setattr(engine, "hilb_strata", broken)
     with pytest.raises(RuntimeError, match="not a check failure"):
         run_cli("verify", "--preset", "k3", "-N", "8")
+    _no_child_left()
 
 
-def test_verify_on_a_short_main_table_exits_2_before_any_output(tmp_path):
+def test_verify_on_a_short_main_table_exits_2_before_any_output(tmp_path, fork):
     path = tmp_path / "short.json"
     path.write_text(serialize(preset("torus", max_power=3)))
     assert run_cli("verify", "--input", str(path), "-N", "5") == (
@@ -635,6 +650,7 @@ def test_verify_on_a_short_main_table_exits_2_before_any_output(tmp_path):
         "",
         "error: diamonds stops at K=3, verify needs every k <= 5: k=4 is missing\n",
     )
+    _no_child_left()
 
 
 _NO_DEFORMATION = "SKIP (dataset carries no deformation block)"
