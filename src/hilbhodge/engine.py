@@ -46,7 +46,7 @@ _Generator = tuple[int, int, int]
 # the strata route lives in hilbhodge.strata, loaded on first use (PEP 562)
 _STRATA_NAMES = frozenset((
     "deformation_closed_forms", "deformation_dims", "hilb_strata", "hilb_via_partitions",
-    "nested_via_strata", "sn_invariant_tangent", "sym_power_twisted_hodge",
+    "nested_via_strata", "sym_power_twisted_hodge",
 ))
 
 __all__ = sorted((

@@ -20,7 +20,7 @@ from .surfaces import DeformationInput, SurfaceDiamond, TwistedTable
 
 __all__ = [
     "deformation_closed_forms", "deformation_dims", "hilb_strata", "hilb_via_partitions",
-    "nested_via_strata", "sn_invariant_tangent", "sym_power_twisted_hodge",
+    "nested_via_strata", "sym_power_twisted_hodge",
 ]
 
 
@@ -221,19 +221,6 @@ def _tensor_sym(
         for d, w in sym.items():
             out[a + d] = out.get(a + d, 0) + v * w
     return out
-
-
-def sn_invariant_tangent(din: DeformationInput, n: int) -> GradedDims:
-    """Graded dimensions of the invariant tangent cohomology of S^n.
-
-    Expanded as H^*(S, T_S) tensor Sym^{n-1} H^{0,*}(S): the tangent
-    sheaf of the n-fold product is the sum of the pullbacks from the
-    factors, and the invariants reduce to the stabilizer of one factor.
-    For n = 1 this is just hT.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _tensor_sym(din.hT, 0, din.hO, n - 1)
 
 
 def deformation_dims(din: DeformationInput, n: int, qmax: int = 3) -> GradedDims:

@@ -1,4 +1,4 @@
-"""Input data model: surface Hodge tables, validation, presets, JSON I/O.
+"""Input data model: surface Hodge tables, validation, presets, JSON input.
 
 A computation consumes a :class:`TwistedTable`, the family of 3x3 tables
 ``h^{p,q}(S, L^k)`` for k = 0..K.  Presets ship only trivial-bundle data
@@ -35,7 +35,6 @@ __all__ = [
     "ValidationError",
     "load_dataset",
     "preset",
-    "serialize",
     "validate",
 ]
 
@@ -213,33 +212,6 @@ class SurfaceDataset(
     def nested_or_main(self) -> TwistedTable:
         """Table for L^j tensor L'; defaults to the main table (L' trivial)."""
         return self.nested_table if self.nested_table is not None else self.table
-
-
-def _diamond_grid(diamond: SurfaceDiamond) -> list[list[int]]:
-    return [list(row) for row in diamond.rows()]
-
-
-def serialize(dataset: SurfaceDataset) -> str:
-    """Canonical JSON for a dataset; stable key order, two-space indent."""
-    payload: dict = {
-        "name": dataset.name,
-        "max_power": dataset.table.max_power,
-        "diamonds": [_diamond_grid(d) for d in dataset.table.diamonds()],
-    }
-    if dataset.nested_table is not None:
-        payload["nested_diamonds"] = [
-            _diamond_grid(d) for d in dataset.nested_table.diamonds()
-        ]
-    if dataset.deformation is not None:
-        payload["deformation"] = {
-            "hT": list(dataset.deformation.hT),
-            "hO": list(dataset.deformation.hO),
-            "hW2": list(dataset.deformation.hW2),
-            "connected": dataset.deformation.connected,
-        }
-    if dataset.kahler_symmetric:
-        payload["kahler_symmetric"] = True
-    return json.dumps(payload, indent=2)
 
 
 def _require(obj: dict, key: str, kind, what: str):

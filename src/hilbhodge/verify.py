@@ -6,7 +6,8 @@ check (exit 3).  The shared series ``hilb_series(N)`` is expanded once, in
 process, before the first check, as one ``HodgePolynomial`` per t-layer;
 if it fails, or a layer is no table of dimensions, so does each check
 that reads it.  A two-path FAIL names the first differing entry, the
-Euler-product side first (``paths disagree at n=2, (p, q)=(2, 2): 232 != 233``).
+Euler-product side first (``paths disagree at n=2, (p, q)=(2, 2): 232 != 233``),
+or else the first n that one side lacks (``paths disagree at n=6: 7 layers != 6 layers``).
 ``euler-witness`` evaluates every shared layer mod 2^61 - 1 at five points
 against :func:`_witness`, which runs no kernel of the program, and names the
 layer and point that differ.  A SKIP names the input the dataset lacks.
@@ -36,13 +37,19 @@ class _CheckSkipped(Exception):
 
 
 def _compare_layers(got: list[dict], want: list[dict], name: str) -> None:
-    """Fail at the first ``name`` (bidegree, degree or power) where two t-layer lists differ."""
+    """Fail at the first ``name`` (bidegree, degree or power) where two t-layer lists
+    differ, else at the first n that the shorter list lacks."""
     for n, (a, b) in enumerate(zip(got, want)):
         if a != b:
             key = min(k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0))
             raise _CheckFailed(
                 f"paths disagree at n={n}, {name}={key}: {a.get(key, 0)} != {b.get(key, 0)}"
             )
+    if len(got) != len(want):
+        raise _CheckFailed(
+            f"paths disagree at n={min(len(got), len(want))}: "
+            f"{len(got)} layers != {len(want)} layers"
+        )
 
 
 # the witness works mod P at five points (x0, y0): three sign points, two generic ones
@@ -141,10 +148,11 @@ def _verify_checks(ds: SurfaceDataset, N: int, shared: Callable):
             raise _CheckSkipped("dataset carries no deformation block")
         if not ds.deformation.connected or ds.deformation.hO[0] != 1:
             raise _CheckSkipped("closed forms assume a connected surface")
-        dims = engine.deformation_dims(ds.deformation, 3, 2)
-        closed = engine.deformation_closed_forms(ds.deformation, 3)
-        if (dims[0], dims[1], dims[2]) != closed:
-            raise _CheckFailed(f"n=3 dims {tuple(dims.values())} != closed {closed}")
+        for n in range(3, max(3, N) + 1):
+            dims = engine.deformation_dims(ds.deformation, n, 2)
+            closed = engine.deformation_closed_forms(ds.deformation, n)
+            if (dims[0], dims[1], dims[2]) != closed:
+                raise _CheckFailed(f"n={n} dims {tuple(dims.values())} != closed {closed}")
 
     def deformation_omega_trivial() -> None:
         # a trivial-bundle table whose deformation block claims a trivial

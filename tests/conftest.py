@@ -8,6 +8,7 @@ a plain ``{(e_x, e_y, e_t): c}`` dict without zero values, read to ``t^trunc``."
 from __future__ import annotations
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from random import Random
 
 import hilbhodge
 from hilbhodge.cli import main as cli_main
-from hilbhodge.surfaces import SurfaceDiamond, TwistedTable
+from hilbhodge.surfaces import SurfaceDiamond, TwistedTable, preset
 
 # hypothesis reports a failing example through libcst, whose import raises a
 # DeprecationWarning when mypy_extensions is installed; under ``-W error`` that
@@ -208,6 +209,16 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse errors
             code = exc.code if isinstance(exc.code, int) else 1
     return code, out.getvalue(), err.getvalue()
+
+
+def preset_dict(name: str, max_power: int) -> dict:
+    """A preset as the JSON object that ``load_dataset`` reads, in plain lists."""
+    ds = preset(name, max_power=max_power)
+    obj = {"name": name, "max_power": max_power, "kahler_symmetric": ds.kahler_symmetric,
+           "diamonds": [d.rows() for d in ds.table.diamonds()]}
+    if ds.deformation:
+        obj["deformation"] = ds.deformation._asdict()
+    return json.loads(json.dumps(obj))
 
 
 def src_env() -> dict[str, str]:

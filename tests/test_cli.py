@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from conftest import fresh_interpreter, plus, run_cli, src_env, terms_of
+from conftest import fresh_interpreter, plus, preset_dict, run_cli, src_env, terms_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_engine import small_or_huge, twisted_tables
@@ -15,7 +15,7 @@ from hilbhodge import engine, strata, verify
 from hilbhodge.cli import render_diamond, render_latex
 from hilbhodge.engine import HodgePolynomial, IntegralityFailure, hilb_coefficient
 from hilbhodge.series import TriSeries
-from hilbhodge.surfaces import PRESET_NAMES, SurfaceDataset, preset, serialize
+from hilbhodge.surfaces import PRESET_NAMES, SurfaceDataset, preset
 
 HOPF_HILB2_DIAMOND = """\
         1
@@ -186,7 +186,7 @@ def test_verify_torus_includes_omega_trivial():
 
 
 def test_verify_corrupted_dataset_exits_3(tmp_path):
-    obj = json.loads(serialize(preset("torus", max_power=4)))
+    obj = preset_dict("torus", 4)
     obj["deformation"]["hT"] = [3, 4, 2]  # inconsistent with the table
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -197,7 +197,7 @@ def test_verify_corrupted_dataset_exits_3(tmp_path):
 
 def test_verify_short_nested_table_skips_only_the_nested_check(tmp_path):
     # nested_diamonds shorter than the order used to exit 2 after four checks
-    obj = json.loads(serialize(preset("torus", max_power=6)))
+    obj = preset_dict("torus", 6)
     obj["nested_diamonds"] = obj["diamonds"][:2]
     path = tmp_path / "short_nested.json"
     path.write_text(json.dumps(obj))
@@ -327,9 +327,9 @@ def test_verify_witness_failure_names_the_layer_and_the_point(monkeypatch):
 
 # -- kernel faults --------------------------------------------------------------
 #
-# One kernel at a time gets +1 at one bidegree (or one parity flipped); verify
-# must exit 3, and the pinned set of failing checks is the route table in
-# executable form.
+# One kernel at a time gets +1 at one bidegree (or one parity flipped, or its
+# top layers dropped); verify must exit 3, and the pinned set of failing checks
+# is the route table in executable form.
 
 
 def _arguments_seen(owner, attr, run):
@@ -406,6 +406,14 @@ def _witness_fault(real):
     return faulty
 
 
+def _drop_layers(count):
+    def fault(real):
+        def faulty(table, trunc_t):  # the top ``count`` layers go missing
+            return real(table, trunc_t)[:-count]
+        return faulty
+    return fault
+
+
 def _mul_fault(real):
     def faulty(self, other):  # x^2 y^2 t^2
         out = real(self, other)
@@ -438,6 +446,16 @@ _KERNEL_FAULTS = {
         strata, "_unpack", _unpack_fault,
         lambda ds: (strata._strata(ds.table, 2, 5, 64)[2], 5, 64),
         dict.fromkeys(("k3", "torus", "hopf"), {"product-vs-partition", "nested-two-path"}),
+    ),
+    "hilb_strata": (
+        engine, "hilb_strata", _drop_layers(1),
+        lambda ds: (ds.table, 6),
+        dict.fromkeys(("k3", "torus", "hopf"), {"product-vs-partition"}),
+    ),
+    "chi_y_exp": (
+        engine, "chi_y_exp", _drop_layers(2),
+        lambda ds: (ds.table, 6),
+        dict.fromkeys(("k3", "torus", "hopf"), {"chi-y-three-way"}),
     ),
     "TriSeries.__mul__": (
         TriSeries, "__mul__", _mul_fault,
@@ -506,6 +524,23 @@ def test_verify_fails_on_every_single_kernel_fault(kernel, name, monkeypatch, ca
     out = capsys.readouterr().out.splitlines()
     assert code == 3
     assert {line.partition(":")[0] for line in out if ": FAIL" in line} == failing[name]
+
+
+@pytest.mark.parametrize("name", ["k3", "torus", "enriques", "bielliptic_ord2", "p2"])
+def test_deformation_closed_forms_reads_every_n_up_to_the_order(name, monkeypatch, capsys):
+    # Sym^m H^{0,*}(S) gains 1 in degree 0 from m = 3 on: n = 3 and the n = 2, 3
+    # columns of deformation-omega-trivial read only Sym^2 and below, n = 4 does not
+    real = strata._sym_graded
+
+    def faulty(triple, m):
+        dims = real(triple, m)
+        return {**dims, 0: dims.get(0, 0) + 1} if m >= 3 else dims
+
+    monkeypatch.setattr(strata, "_sym_graded", faulty)
+    assert verify.run(preset(name, max_power=8), 8) == 3
+    fails = [line for line in capsys.readouterr().out.splitlines() if ": FAIL" in line]
+    assert len(fails) == 1
+    assert fails[0].startswith("deformation-closed-forms: FAIL (n=4 dims ")
 
 
 # -- the witness -----------------------------------------------------------------
@@ -644,7 +679,7 @@ def test_verify_reaps_the_child_when_a_check_raises(monkeypatch, fork):
 
 def test_verify_on_a_short_main_table_exits_2_before_any_output(tmp_path, fork):
     path = tmp_path / "short.json"
-    path.write_text(serialize(preset("torus", max_power=3)))
+    path.write_text(json.dumps(preset_dict("torus", 3)))
     assert run_cli("verify", "--input", str(path), "-N", "5") == (
         2,
         "",
@@ -688,7 +723,7 @@ def test_verify_golden_output_on_presets(name):
 
 
 def test_kahler_asymmetry_warns_on_stderr(tmp_path):
-    obj = json.loads(serialize(preset("hopf", max_power=2)))  # asymmetric diamonds
+    obj = preset_dict("hopf", 2)  # asymmetric diamonds
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps(obj))
     obj["kahler_symmetric"] = True
@@ -702,7 +737,7 @@ def test_kahler_asymmetry_warns_on_stderr(tmp_path):
 
 def test_insufficient_powers_exits_2(tmp_path):
     path = tmp_path / "small.json"
-    path.write_text(serialize(preset("torus", max_power=1)))
+    path.write_text(json.dumps(preset_dict("torus", 1)))
     code, _, err = run_cli("hilb", "--input", str(path), "-N", "3")
     assert code == 2
     assert "k=2" in err
@@ -742,7 +777,7 @@ def test_validation_error_exits_1(tmp_path):
     ids=["diamonds-negative", "diamonds-float", "nested-negative", "nested-float", "deformation"],
 )
 def test_dataset_value_errors_name_their_field(tmp_path, field, value, message):
-    obj = json.loads(serialize(preset("torus", max_power=2)))
+    obj = preset_dict("torus", 2)
     obj["nested_diamonds"] = json.loads(json.dumps(obj["diamonds"]))
     if field == "deformation":
         obj["deformation"]["hT"][1] = value
@@ -754,7 +789,7 @@ def test_dataset_value_errors_name_their_field(tmp_path, field, value, message):
 
 
 def test_nested_on_a_short_nested_table_names_the_field(tmp_path):
-    obj = json.loads(serialize(preset("torus", max_power=3)))
+    obj = preset_dict("torus", 3)
     obj["nested_diamonds"] = obj["diamonds"][:2]
     path = tmp_path / "short_nested.json"
     path.write_text(json.dumps(obj))
@@ -788,7 +823,7 @@ def test_a_short_main_table_names_the_field_and_the_subcommand(tmp_path, argv):
     # one message for every subcommand that reads each k up to its order,
     # whichever engine function would have run first
     path = tmp_path / "k3.json"
-    path.write_text(serialize(preset("k3", max_power=12)))
+    path.write_text(json.dumps(preset_dict("k3", 12)))
     command, *rest = argv
     assert run_cli(command, "--input", str(path), *rest) == (
         2,
@@ -809,7 +844,7 @@ def test_missing_file_exits_1(tmp_path):
 
 def test_input_is_a_path_even_when_it_looks_like_json(tmp_path):
     # a file name that starts with "{" loads; inline JSON text is a missing file
-    text = json.dumps(json.loads(serialize(preset("k3", max_power=1))))
+    text = json.dumps(preset_dict("k3", 1))
     named = tmp_path / "{k3}.json"
     named.write_text(text)
     assert run_cli("hilb", "--input", str(named), "-n", "1") == run_cli(

@@ -41,7 +41,6 @@ from hilbhodge.engine import (
     nested_coefficient,
     nested_series,
     nested_via_strata,
-    sn_invariant_tangent,
     sym_power_twisted_hodge,
 )
 from hilbhodge.series import TriSeries
@@ -812,22 +811,17 @@ def test_hh_rhs_order_zero_and_one():
 # -- deformation theory ------------------------------------------------------------------
 
 
-def test_sn_invariant_tangent_n1_is_hT():
-    din = preset("torus").deformation
-    assert sn_invariant_tangent(din, 1) == {0: 2, 1: 4, 2: 2}
-
-
-def test_sn_invariant_tangent_examples():
-    # whole dicts of H^*(S, T_S) x Sym^1 H^{0,*}(S) on every preset with a
-    # deformation block: a degree whose products all vanish has no key
+def test_deformation_dims_at_n2_examples():
+    # whole dicts to q = 4 on every preset with a deformation block: H^*(S, T_S)
+    # x Sym^1 H^{0,*}(S) plus H^{*-1}(S, wedge^2 T_S), Sym^0 being a point
     blocks = {name: preset(name, max_power=0).deformation for name in PRESET_NAMES}
-    assert {name: sn_invariant_tangent(din, 2) for name, din in blocks.items() if din} == {
-        "bielliptic_ord2": {0: 1, 1: 3, 2: 3, 3: 1},
-        "bielliptic_ord3": {0: 1, 1: 2, 2: 1},
-        "enriques": {1: 10},
-        "k3": {1: 20, 3: 20},
-        "p2": {0: 8},
-        "torus": {0: 2, 1: 8, 2: 12, 3: 8, 4: 2},  # h^1 = 4*1 + 2*2
+    assert {name: deformation_dims(din, 2, 4) for name, din in blocks.items() if din} == {
+        "bielliptic_ord2": {0: 1, 1: 3, 2: 4, 3: 2, 4: 0},
+        "bielliptic_ord3": {0: 1, 1: 2, 2: 1, 3: 0, 4: 0},
+        "enriques": {0: 0, 1: 10, 2: 0, 3: 1, 4: 0},
+        "k3": {0: 0, 1: 21, 2: 0, 3: 21, 4: 0},
+        "p2": {0: 8, 1: 10, 2: 0, 3: 0, 4: 0},
+        "torus": {0: 2, 1: 9, 2: 14, 3: 9, 4: 2},  # h^1 = 4*1 + 2*2 + 1
     }
 
 

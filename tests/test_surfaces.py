@@ -1,8 +1,9 @@
-"""Dataset model: presets, validation, JSON round trips."""
+"""Dataset model: presets, validation, JSON input."""
 
 import json
 
 import pytest
+from conftest import preset_dict
 
 from hilbhodge.surfaces import (
     DeformationInput,
@@ -16,7 +17,6 @@ from hilbhodge.surfaces import (
     ValidationError,
     load_dataset,
     preset,
-    serialize,
     validate,
 )
 
@@ -85,21 +85,13 @@ def test_unknown_preset():
         preset("fake_surface")
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_serialize_round_trip(name, tmp_path):
-    ds = preset(name, max_power=3)
-    loaded = load_text(tmp_path, serialize(ds))
-    assert loaded == ds
-    # and a second pass is byte-identical
-    assert serialize(loaded) == serialize(ds)
-
-
 def test_load_dataset_from_file(tmp_path):
     path = tmp_path / "torus.json"
-    path.write_text(serialize(preset("torus", max_power=2)))
+    path.write_text(json.dumps(preset_dict("torus", 2)))
     ds = load_dataset(str(path))
     assert ds.name == "torus"
     assert ds.table.max_power == 2
+    assert ds == preset("torus", max_power=2)
     assert load_dataset(path) == ds  # a path object reads the same file
 
 
